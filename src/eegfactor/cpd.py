@@ -2,20 +2,24 @@
 
 Both solvers share seeded uniform(0,1) multi-start initialization, stop on
 relative fit change, and return canonically normalized factors.  The
-Gauss-Newton path is Levenberg-Marquardt on the stacked factor vector with
-the approximate Hessian assembled from factor Gramians; the Jacobian over
-all tensor entries is never materialized.
+Gauss-Newton path is Levenberg-Marquardt on the stacked factor vector: at
+every problem size it takes the exact damped step, solving the normal
+equations through the Schur complement on the (B, C) factors after
+eliminating the block-diagonal A block.  The Jacobian over all tensor entries
+is never materialized, and trial steps are scored from factor Gramians and
+one MTTKRP rather than a full reconstruction.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ArgumentError
-from .tensor import FactorSet, Tensor3, mttkrp
+from .tensor import FactorSet, Tensor3, mttkrp, relative_error
 
 _COND_LIMIT = 1e12
 _GRAM_RIDGE = 1e-10
@@ -95,10 +99,7 @@ def _rebalance(A, B, C):
 
 def _finalize(t: Tensor3, rank: int, A, B, C, run) -> CpdResult:
     fs = FactorSet(rank, A, B, C, np.ones(rank)).normalized()
-    approx = np.einsum(
-        "r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True
-    )
-    rel = float(np.linalg.norm(t.data - approx) / t.norm())
+    rel = relative_error(t, fs)
     return CpdResult(
         factors=fs,
         rel_error=rel,
@@ -187,132 +188,97 @@ def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
 # ---------------------------------------------------------------------------
 # Gauss-Newton (Levenberg-Marquardt)
 
-def _gn_gradient(t, fs_ones, A, B, C, ZA, ZB, ZC):
-    GA = ZB * ZC
-    GB = ZA * ZC
-    GC = ZA * ZB
-    MA = mttkrp(t, fs_ones, 0)
-    MB = mttkrp(t, fs_ones, 1)
-    MC = mttkrp(t, fs_ones, 2)
-    return (A @ GA - MA, B @ GB - MB, C @ GC - MC), (GA, GB, GC)
+def _gram_error(t: Tensor3, normX: float, A, B, C):
+    """Relative error of the CPD (A, B, C) without reconstructing the tensor.
+
+    Uses ||X - X^||^2 = ||X||^2 - 2<MC, C> + sum(ZA*ZB*ZC), where MC is the
+    mode-2 MTTKRP at (A, B) and Z* are the factor Gramians.  The identity
+    cancels to about sqrt(eps) in relative error, so below a relative error
+    of 1e-4 the exact norm of the residual is taken instead.  Returns the
+    error, the Gramians (ZA, ZB, ZC) and MC, which the next Gauss-Newton
+    iteration reuses.
+    """
+    Z = (A.T @ A, B.T @ B, C.T @ C)
+    MC = mttkrp(t, FactorSet(A.shape[1], A, B, C, np.ones(A.shape[1])), 2)
+    err2 = normX * normX - 2.0 * float(np.vdot(MC, C)) + float(np.sum(Z[0] * Z[1] * Z[2]))
+    if err2 < 1e-8 * normX * normX:
+        return _rel_error(t.data, normX, A, B, C), Z, MC
+    return math.sqrt(err2) / normX, Z, MC
 
 
-def _assemble_hessian(A, B, C, ZA, ZB, ZC, GA, GB, GC, mu):
-    E, r = A.shape
-    S, F = B.shape[0], C.shape[0]
-    N = r * (E + S + F)
-    H = np.zeros((N, N))
-    ea, eb = E * r, E * r + S * r
-    H[:ea, :ea] = np.kron(np.eye(E), GA)
-    H[ea:eb, ea:eb] = np.kron(np.eye(S), GB)
-    H[eb:, eb:] = np.kron(np.eye(F), GC)
-    HAB = np.einsum("ej,si,ij->eisj", A, B, ZC).reshape(E * r, S * r)
-    HAC = np.einsum("ej,fi,ij->eifj", A, C, ZB).reshape(E * r, F * r)
-    HBC = np.einsum("sj,fi,ij->sifj", B, C, ZA).reshape(S * r, F * r)
-    H[:ea, ea:eb] = HAB
-    H[ea:eb, :ea] = HAB.T
-    H[:ea, eb:] = HAC
-    H[eb:, :ea] = HAC.T
-    H[ea:eb, eb:] = HBC
-    H[eb:, ea:eb] = HBC.T
-    H[np.diag_indices(N)] += mu
-    return H
+def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
+    """Exact damped Gauss-Newton step: solve (J^T J + mu I) delta = -g.
 
-
-def _gn_matvec(v, A, B, C, ZA, ZB, ZC, GA, GB, GC, mu):
-    E, r = A.shape
-    S, F = B.shape[0], C.shape[0]
-    dA = v[: E * r].reshape(E, r)
-    dB = v[E * r : E * r + S * r].reshape(S, r)
-    dC = v[E * r + S * r :].reshape(F, r)
-    WA = dA.T @ A
-    WB = dB.T @ B
-    WC = dC.T @ C
-    outA = dA @ GA + A @ (WB * ZC) + A @ (WC * ZB)
-    outB = dB @ GB + B @ (WA * ZC) + B @ (WC * ZA)
-    outC = dC @ GC + C @ (WA * ZB) + C @ (WB * ZA)
-    out = np.concatenate([outA.ravel(), outB.ravel(), outC.ravel()])
-    return out + mu * v
-
-
-def _gn_solve_cg(rhs, A, B, C, ZA, ZB, ZC, GA, GB, GC, mu, rel_tol=1e-6, max_iter=300):
-    """Preconditioned CG on the damped normal equations (block-Jacobi)."""
-    E, r = A.shape
-    S, F = B.shape[0], C.shape[0]
+    The A block of the damped matrix is I_E (x) K with K = ZB*ZC + mu I, so A
+    is eliminated with the r x r inverse of K.  The Schur complement on
+    (B, C) has size r(S+F) and is assembled from B, C and the Gramians alone,
+    so E only enters the O(E r^2) right-hand side and back-substitution.  It
+    is factored with Cholesky; a failed factorization raises LinAlgError.
+    """
+    S, r = B.shape
+    F = C.shape[0]
+    n = S + F
     eye = np.eye(r)
-    PA = np.linalg.inv(GA + mu * eye)
-    PB = np.linalg.inv(GB + mu * eye)
-    PC = np.linalg.inv(GC + mu * eye)
-
-    def precond(v):
-        pa = v[: E * r].reshape(E, r) @ PA
-        pb = v[E * r : E * r + S * r].reshape(S, r) @ PB
-        pc = v[E * r + S * r :].reshape(F, r) @ PC
-        return np.concatenate([pa.ravel(), pb.ravel(), pc.ravel()])
-
-    x = np.zeros_like(rhs)
-    res = rhs.copy()
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return x
-    z = precond(res)
-    p = z.copy()
-    rz = float(res @ z)
-    for _ in range(max_iter):
-        Hp = _gn_matvec(p, A, B, C, ZA, ZB, ZC, GA, GB, GC, mu)
-        denom = float(p @ Hp)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        res -= alpha * Hp
-        if np.linalg.norm(res) <= rel_tol * rhs_norm:
-            break
-        z = precond(res)
-        rz_new = float(res @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x
+    Kinv = np.linalg.inv(ZB * ZC + mu * eye)
+    # row (s, i) of U is B[s, :] * ZC[:, i]; row (f, i) is C[f, :] * ZB[:, i]
+    U = np.concatenate([
+        (B[:, None, :] * ZC.T[None, :, :]).reshape(S * r, r),
+        (C[:, None, :] * ZB.T[None, :, :]).reshape(F * r, r),
+    ])
+    # the A-coupling of every (B, C) pair is (U Kinv U^T) * ZA, tiled
+    schur = (U @ Kinv @ U.T).reshape(n, r, n, r)
+    schur *= -ZA[None, :, None, :]
+    diag_b, diag_c = np.arange(S), np.arange(S, n)
+    schur[diag_b, :, diag_b, :] += ZA * ZC + mu * eye
+    schur[diag_c, :, diag_c, :] += ZA * ZB + mu * eye
+    # J^T J cross block [(s, i), (f, j)] = B[s, j] * C[f, i] * ZA[i, j]; only
+    # the upper triangle is filled, because Cholesky reads no other
+    schur[:S, :, S:, :] += B[:, None, None, :] * ZA[None, :, None, :] * C.T[None, :, :, None]
+    YA = gA @ Kinv
+    W = YA.T @ A
+    rhs = np.concatenate([
+        (B @ (W * ZC) - gB).ravel(),
+        (C @ (W * ZB) - gC).ravel(),
+    ])
+    factor = cho_factor(schur.reshape(n * r, n * r), overwrite_a=True, check_finite=False)
+    x = cho_solve(factor, rhs, check_finite=False)
+    dB = x[: S * r].reshape(S, r)
+    dC = x[S * r :].reshape(F, r)
+    dA = -YA - A @ (((dB.T @ B) * ZC + (dC.T @ C) * ZB) @ Kinv)
+    return dA, dB, dC
 
 
 def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
-    X = t.data
     normX = t.norm()
-    E, S, F = t.dims
     A, B, C = (np.array(M, dtype=np.float64) for M in init)
-    err = _rel_error(X, normX, A, B, C)
+    ones = np.ones(rank)
+    # MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient term
+    err, (ZA, ZB, ZC), MC = _gram_error(t, normX, A, B, C)
     fit = 1.0 - err * err
     trace = [err]
     converged = err < 1e-13
     iterations = 0
     mu = opts.gn_damping_init
-    ones = np.ones(rank)
-    N = rank * (E + S + F)
-    direct = N <= 2000
     while not converged and iterations < opts.max_iters:
-        ZA, ZB, ZC = A.T @ A, B.T @ B, C.T @ C
         fs_ones = FactorSet(rank, A, B, C, ones)
-        (gA, gB, gC), (GA, GB, GC) = _gn_gradient(t, fs_ones, A, B, C, ZA, ZB, ZC)
-        rhs = -np.concatenate([gA.ravel(), gB.ravel(), gC.ravel()])
+        gA = A @ (ZB * ZC) - mttkrp(t, fs_ones, 0)
+        gB = B @ (ZA * ZC) - mttkrp(t, fs_ones, 1)
+        gC = C @ (ZA * ZB) - MC
         accepted = False
         best_trial = np.inf
         while mu <= _MU_MAX:
-            if direct:
-                H = _assemble_hessian(A, B, C, ZA, ZB, ZC, GA, GB, GC, mu)
-                try:
-                    delta = np.linalg.solve(H, rhs)
-                except np.linalg.LinAlgError:
-                    mu *= 10.0
-                    continue
-            else:
-                delta = _gn_solve_cg(rhs, A, B, C, ZA, ZB, ZC, GA, GB, GC, mu)
-            A2 = A + delta[: E * rank].reshape(E, rank)
-            B2 = B + delta[E * rank : E * rank + S * rank].reshape(S, rank)
-            C2 = C + delta[E * rank + S * rank :].reshape(F, rank)
-            err2 = _rel_error(X, normX, A2, B2, C2)
+            try:
+                dA, dB, dC = _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu)
+            except np.linalg.LinAlgError:
+                mu *= 10.0
+                continue
+            A2, B2, C2 = A + dA, B + dB, C + dC
+            err2, Z2, MC2 = _gram_error(t, normX, A2, B2, C2)
             best_trial = min(best_trial, err2)
             if err2 <= err:
                 A, B, C = A2, B2, C2
+                ZA, ZB, ZC = Z2
+                MC = MC2
                 mu = max(mu / 10.0, _MU_MIN)
                 iterations += 1
                 trace.append(err2)
@@ -336,8 +302,12 @@ def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dic
 
 
 def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
-    """Levenberg-Marquardt CPD fit; shares the ALS seeding scheme so both
-    solvers explore identical starts for a given seed."""
+    """Damped Gauss-Newton (Levenberg-Marquardt) CPD fit.
+
+    Every iteration takes the exact damped step at the current damping (see
+    ``_gn_step``), whatever the problem size.  Shares the ALS seeding scheme
+    so both solvers explore identical starts for a given seed; ``init``
+    (A, B, C) forces a single run."""
     _validate_problem(t, opts.rank)
     if init is not None:
         runs = [_gn_single(t, opts.rank, opts, init, 0)]
@@ -373,8 +343,7 @@ def _abs_cosines(Ma: np.ndarray, Mb: np.ndarray) -> np.ndarray:
 def factor_match_score(a: FactorSet, b: FactorSet) -> float:
     """Permutation-optimal mean over components of |cosA|*|cosB|*|cosC|.
 
-    The best matching is found exhaustively for rank <= 8 and by optimal
-    assignment above that; both give the exact optimum.
+    The best matching is the optimal assignment on the component-pair scores.
     """
     if a.rank != b.rank:
         raise ArgumentError(f"rank mismatch: {a.rank} vs {b.rank}")
@@ -385,13 +354,5 @@ def factor_match_score(a: FactorSet, b: FactorSet) -> float:
         * _abs_cosines(a.B, b.B)
         * _abs_cosines(a.C, b.C)
     )
-    r = a.rank
-    if r <= 8:
-        best = max(
-            sum(P[i, perm[i]] for i in range(r))
-            for perm in itertools.permutations(range(r))
-        )
-    else:
-        rows, cols = linear_sum_assignment(-P)
-        best = float(P[rows, cols].sum())
-    return float(best / r)
+    rows, cols = linear_sum_assignment(-P)
+    return float(P[rows, cols].sum() / a.rank)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -134,32 +135,52 @@ class TestGaussNewton:
         assert r1.trace == r2.trace
         np.testing.assert_array_equal(r1.factors.A, r2.factors.A)
 
-    def test_cg_path_matches_direct(self):
-        # force N > 2000 so the inner solver runs conjugate gradients
+    def test_large_problem_recovery(self):
+        # r(E+S+F) = 2424: a size the Schur-complement step takes like any other
         t, truth = make_tensor(SynthSpec(dims=(700, 19, 89), rank=3, seed=21))
-        assert 3 * (700 + 19 + 89) > 2000
         res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, tol=1e-14, max_iters=60, seed=3))
         assert res.rel_error < 1e-6
         assert factor_match_score(res.factors, truth) > 0.99
 
 
+def dense_hessian(A, B, C, mu):
+    """J^T J + mu I of the CPD residual as a dense matrix, block by block."""
+    E, r = A.shape
+    S, F = B.shape[0], C.shape[0]
+    ZA, ZB, ZC = A.T @ A, B.T @ B, C.T @ C
+    N = r * (E + S + F)
+    H = np.zeros((N, N))
+    ea, eb = E * r, E * r + S * r
+    H[:ea, :ea] = np.kron(np.eye(E), ZB * ZC)
+    H[ea:eb, ea:eb] = np.kron(np.eye(S), ZA * ZC)
+    H[eb:, eb:] = np.kron(np.eye(F), ZA * ZB)
+    HAB = np.einsum("ej,si,ij->eisj", A, B, ZC).reshape(E * r, S * r)
+    HAC = np.einsum("ej,fi,ij->eifj", A, C, ZB).reshape(E * r, F * r)
+    HBC = np.einsum("sj,fi,ij->sifj", B, C, ZA).reshape(S * r, F * r)
+    H[:ea, ea:eb] = HAB
+    H[ea:eb, :ea] = HAB.T
+    H[:ea, eb:] = HAC
+    H[eb:, :ea] = HAC.T
+    H[ea:eb, eb:] = HBC
+    H[eb:, ea:eb] = HBC.T
+    H[np.diag_indices(N)] += mu
+    return H
+
+
 class TestHessianPieces:
-    def test_matvec_matches_assembled_matrix(self):
-        from eegfactor.cpd import _assemble_hessian, _gn_matvec
+    @pytest.mark.parametrize("dims,r", [((7, 4, 5), 2), ((200, 19, 89), 5)], ids=["E7-r2", "E200-r5"])
+    @pytest.mark.parametrize("mu", [10.0, 1e-2])
+    def test_schur_step_matches_dense_solve(self, dims, r, mu):
+        from eegfactor.cpd import _gn_step
 
         rng = np.random.default_rng(6)
-        E, S, F, r = 4, 3, 5, 2
-        A, B, C = rng.standard_normal((E, r)), rng.standard_normal((S, r)), rng.standard_normal((F, r))
+        A, B, C = (rng.uniform(0.0, 1.0, size=(d, r)) for d in dims)
+        gA, gB, gC = (rng.standard_normal((d, r)) for d in dims)
         ZA, ZB, ZC = A.T @ A, B.T @ B, C.T @ C
-        GA, GB, GC = ZB * ZC, ZA * ZC, ZA * ZB
-        mu = 0.37
-        H = _assemble_hessian(A, B, C, ZA, ZB, ZC, GA, GB, GC, mu)
-        np.testing.assert_allclose(H, H.T, atol=1e-12)
-        for _ in range(5):
-            v = rng.standard_normal(r * (E + S + F))
-            np.testing.assert_allclose(
-                _gn_matvec(v, A, B, C, ZA, ZB, ZC, GA, GB, GC, mu), H @ v, rtol=1e-10, atol=1e-10
-            )
+        step = np.concatenate([d.ravel() for d in _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu)])
+        rhs = -np.concatenate([gA.ravel(), gB.ravel(), gC.ravel()])
+        dense = np.linalg.solve(dense_hessian(A, B, C, mu), rhs)
+        assert np.linalg.norm(step - dense) <= 1e-9 * np.linalg.norm(dense)
 
     def test_hessian_matches_finite_differences(self):
         # JtJ of the residual map equals the Gauss-Newton term of the true
@@ -185,11 +206,36 @@ class TestHessianPieces:
             up[i] += h
             dn[i] -= h
             J[:, i] = (residual(up) - residual(dn)) / (2 * h)
-        from eegfactor.cpd import _assemble_hessian
-
-        ZA, ZB, ZC = A.T @ A, B.T @ B, C.T @ C
-        H = _assemble_hessian(A, B, C, ZA, ZB, ZC, ZB * ZC, ZA * ZC, ZA * ZB, 0.0)
+        H = dense_hessian(A, B, C, 0.0)
         np.testing.assert_allclose(H, J.T @ J, rtol=1e-6, atol=1e-6)
+
+
+class TestGramError:
+    @staticmethod
+    def gram_error(t, fs):
+        from eegfactor.cpd import _gram_error
+
+        return _gram_error(t, t.norm(), fs.A * fs.weights, fs.B, fs.C)[0]
+
+    def test_gram_error_matches_relative_error(self, planted_noisy):
+        t, truth = planted_noisy
+        exact = relative_error(t, truth)
+        assert exact > 1e-2
+        assert self.gram_error(t, truth) == pytest.approx(exact, rel=1e-10)
+
+    def test_gram_error_falls_back_to_exact_norm(self, planted_small, monkeypatch):
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        t, truth = planted_small
+        rng = np.random.default_rng(3)
+        near = FactorSet(3, truth.A + 1e-11 * rng.standard_normal(truth.A.shape),
+                         truth.B, truth.C, truth.weights)
+        calls = []
+        exact_norm = cpd_module._rel_error
+        monkeypatch.setattr(cpd_module, "_rel_error", lambda *a: calls.append(a) or exact_norm(*a))
+        err = self.gram_error(t, near)
+        assert len(calls) == 1
+        assert err < 1e-8
+        assert err == pytest.approx(relative_error(t, near), rel=1e-6)
 
 
 class TestFactorMatchScore:
