@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import ArgumentError
 
@@ -200,17 +201,7 @@ def auc(scores, labels) -> float:
     if len(pos) == 0 or len(neg) == 0:
         raise ArgumentError("auc requires both classes present")
     # average ranks make tied pairs contribute exactly 1/2
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    r_pos = float(np.sum(ranks[labels == 1]))
+    r_pos = float(np.sum(rankdata(scores)[labels == 1]))
     n_pos, n_neg = len(pos), len(neg)
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -257,7 +257,12 @@ def _read_provenance(path: Path) -> list[tuple[str, str, int]]:
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ParseError(f"provenance CSV needs columns {sorted(need)}", field="header")
         for row in reader:
-            out.append((row["subject_id"], row["recording_id"], int(row["epoch_index"])))
+            try:
+                out.append((row["subject_id"], row["recording_id"], int(row["epoch_index"])))
+            except (TypeError, ValueError):
+                raise ParseError(f"provenance line {reader.line_num}: epoch_index "
+                                 f"{row['epoch_index']!r} is not an integer",
+                                 field="epoch_index") from None
     return out
 
 
@@ -295,8 +300,14 @@ def _read_feature_csv(path: Path, id_cols: int = 3):
             )
         subjects, feats = [], []
         for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                feats.append([float(v) for v in row[id_cols:]])
+            except ValueError as exc:
+                raise ParseError(f"{path.name} line {reader.line_num}: {exc}",
+                                 field="body") from None
             subjects.append(row[0])
-            feats.append([float(v) for v in row[id_cols:]])
     if not feats:
         raise ParseError(f"{path.name} contains no feature rows", field="body")
     return subjects, np.asarray(feats)
@@ -449,9 +460,12 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
                 f"tensor grid {t.dims[1:]} does not match basis grid {basis.grid_shape}"
             )
         for e, (subject, recording, index) in enumerate(rows):
-            spectra.append(
-                EpochSpectrum(psd=t.data[e], subject_id=subject, recording_id=recording, index=index)
-            )
+            try:
+                spectra.append(EpochSpectrum(
+                    psd=t.data[e], subject_id=subject, recording_id=recording, index=index
+                ))
+            except ArgumentError as exc:
+                raise IngestError(f"tensor row {e} ({recording}, epoch {index}): {exc}") from None
     elif manifest is not None:
         for entry in read_manifest(Path(manifest)):
             try:

@@ -1,13 +1,15 @@
 """CPD fitting: alternating least squares and damped Gauss-Newton.
 
 Both solvers share seeded uniform(0,1) multi-start initialization, stop on
-relative fit change, and return canonically normalized factors.  The
+relative fit change, and return canonically normalized factors.  Both score
+every iterate with the Gram identity (``_gram_error``): the factor Gramians
+and one mode-2 MTTKRP the solver already holds, rather than a full
+reconstruction.  Both factor their linear systems with Cholesky.  The
 Gauss-Newton path is Levenberg-Marquardt on the stacked factor vector: at
 every problem size it takes the exact damped step, solving the normal
 equations through the Schur complement on the (B, C) factors after
 eliminating the block-diagonal A block.  The Jacobian over all tensor entries
-is never materialized, and trial steps are scored from factor Gramians and
-one MTTKRP rather than a full reconstruction.
+is never materialized.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ArgumentError
 from .tensor import FactorSet, Tensor3, mttkrp, relative_error
 
-_COND_LIMIT = 1e12
 _GRAM_RIDGE = 1e-10
 _MU_MAX = 1e12
 _MU_MIN = 1e-14
@@ -78,9 +79,20 @@ def _uniform_init(dims, rank: int, seed: int, start: int):
     return tuple(rng.uniform(0.0, 1.0, size=(d, rank)) for d in dims)
 
 
-def _rel_error(X: np.ndarray, normX: float, A, B, C) -> float:
-    approx = np.einsum("er,sr,fr->esf", A, B, C, optimize=True)
-    return float(np.linalg.norm(X - approx) / normX)
+def _gram_error(t: Tensor3, normX: float, A, B, C, MC):
+    """Relative error of the CPD (A, B, C) without reconstructing the tensor.
+
+    Uses ||X - X^||^2 = ||X||^2 - 2<MC, C> + sum(ZA*ZB*ZC), where MC is the
+    caller's mode-2 MTTKRP at (A, B) and Z* are the factor Gramians.  The
+    identity cancels to about sqrt(eps) in relative error, so below a
+    relative error of 1e-4 the exact norm of the residual is taken instead.
+    Returns the error and the Gramians (ZA, ZB, ZC).
+    """
+    Z = (A.T @ A, B.T @ B, C.T @ C)
+    err2 = normX * normX - 2.0 * float(np.vdot(MC, C)) + float(np.sum(Z[0] * Z[1] * Z[2]))
+    if err2 < 1e-8 * normX * normX:
+        return relative_error(t, FactorSet(A.shape[1], A, B, C, np.ones(A.shape[1]))), Z
+    return math.sqrt(err2) / normX, Z
 
 
 def _rebalance(A, B, C):
@@ -124,39 +136,31 @@ def _pick_best(t: Tensor3, rank: int, runs: list) -> CpdResult:
 # ALS
 
 def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
-    X = t.data
     normX = t.norm()
-    A, B, C = (np.array(M, dtype=np.float64) for M in init)
-    err = _rel_error(X, normX, A, B, C)
+    factors = [np.array(M, dtype=np.float64) for M in init]
+    ones = np.ones(rank)
+    err, _ = _gram_error(t, normX, *factors, mttkrp(t, FactorSet(rank, *factors, ones), 2))
     fit = 1.0 - err * err
     trace = [err]
     regularized = False
     converged = False
     iterations = 0
-    ones = np.ones(rank)
     for it in range(1, opts.max_iters + 1):
         for mode in (0, 1, 2):
-            fs = FactorSet(rank, A, B, C, ones)
-            if mode == 0:
-                G = (B.T @ B) * (C.T @ C)
-            elif mode == 1:
-                G = (A.T @ A) * (C.T @ C)
-            else:
-                G = (A.T @ A) * (B.T @ B)
-            cond = np.linalg.cond(G)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                G = G + _GRAM_RIDGE * np.eye(rank)
+            P, Q = (factors[m] for m in (0, 1, 2) if m != mode)
+            G = (P.T @ P) * (Q.T @ Q)
+            M = mttkrp(t, FactorSet(rank, *factors, ones), mode)
+            try:
+                factor = cho_factor(G, check_finite=False)
+            except np.linalg.LinAlgError:
+                # relative to the Gramian's scale, so a large singular G is ridged too
+                ridge = _GRAM_RIDGE * max(1.0, G.diagonal().max())
+                factor = cho_factor(G + ridge * np.eye(rank), check_finite=False)
                 regularized = True
-            M = mttkrp(t, fs, mode)
-            update = M @ np.linalg.pinv(G)
-            if mode == 0:
-                A = update
-            elif mode == 1:
-                B = update
-            else:
-                C = update
-        A, B, C = _rebalance(A, B, C)
-        new_err = _rel_error(X, normX, A, B, C)
+            factors[mode] = cho_solve(factor, M.T, check_finite=False).T
+        # M is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
+        new_err, _ = _gram_error(t, normX, *factors, M)
+        _rebalance(*factors)
         new_fit = 1.0 - new_err * new_err
         trace.append(new_err)
         iterations = it
@@ -165,6 +169,7 @@ def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> di
         err, fit = new_err, new_fit
         if converged:
             break
+    A, B, C = factors
     return {
         "A": A, "B": B, "C": C, "fit": fit, "trace": trace,
         "iterations": iterations, "converged": converged,
@@ -173,7 +178,13 @@ def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> di
 
 
 def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
-    """Best-of-n-starts ALS fit; ``init`` (A, B, C) forces a single run."""
+    """Best-of-n-starts ALS fit; ``init`` (A, B, C) forces a single run.
+
+    Each mode update solves its r x r Gramian system by Cholesky, adding a
+    small ridge (and flagging ``gram_regularized``) only when the
+    factorization fails.  Each sweep is scored with the Gram identity from
+    the mode-2 MTTKRP of its own update, so no sweep reconstructs the tensor.
+    """
     _validate_problem(t, opts.rank)
     if init is not None:
         runs = [_als_single(t, opts.rank, opts, init, 0)]
@@ -187,24 +198,6 @@ def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton (Levenberg-Marquardt)
-
-def _gram_error(t: Tensor3, normX: float, A, B, C):
-    """Relative error of the CPD (A, B, C) without reconstructing the tensor.
-
-    Uses ||X - X^||^2 = ||X||^2 - 2<MC, C> + sum(ZA*ZB*ZC), where MC is the
-    mode-2 MTTKRP at (A, B) and Z* are the factor Gramians.  The identity
-    cancels to about sqrt(eps) in relative error, so below a relative error
-    of 1e-4 the exact norm of the residual is taken instead.  Returns the
-    error, the Gramians (ZA, ZB, ZC) and MC, which the next Gauss-Newton
-    iteration reuses.
-    """
-    Z = (A.T @ A, B.T @ B, C.T @ C)
-    MC = mttkrp(t, FactorSet(A.shape[1], A, B, C, np.ones(A.shape[1])), 2)
-    err2 = normX * normX - 2.0 * float(np.vdot(MC, C)) + float(np.sum(Z[0] * Z[1] * Z[2]))
-    if err2 < 1e-8 * normX * normX:
-        return _rel_error(t.data, normX, A, B, C), Z, MC
-    return math.sqrt(err2) / normX, Z, MC
-
 
 def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     """Exact damped Gauss-Newton step: solve (J^T J + mu I) delta = -g.
@@ -253,7 +246,8 @@ def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dic
     A, B, C = (np.array(M, dtype=np.float64) for M in init)
     ones = np.ones(rank)
     # MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient term
-    err, (ZA, ZB, ZC), MC = _gram_error(t, normX, A, B, C)
+    MC = mttkrp(t, FactorSet(rank, A, B, C, ones), 2)
+    err, (ZA, ZB, ZC) = _gram_error(t, normX, A, B, C, MC)
     fit = 1.0 - err * err
     trace = [err]
     converged = err < 1e-13
@@ -273,7 +267,8 @@ def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dic
                 mu *= 10.0
                 continue
             A2, B2, C2 = A + dA, B + dB, C + dC
-            err2, Z2, MC2 = _gram_error(t, normX, A2, B2, C2)
+            MC2 = mttkrp(t, FactorSet(rank, A2, B2, C2, ones), 2)
+            err2, Z2 = _gram_error(t, normX, A2, B2, C2, MC2)
             best_trial = min(best_trial, err2)
             if err2 <= err:
                 A, B, C = A2, B2, C2

@@ -32,6 +32,21 @@ BANDS = (
 )
 
 
+def _trapezoid_weights(lo: float, hi: float) -> np.ndarray:
+    mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
+    return np.trapezoid(np.eye(len(FREQ_GRID))[mask], FREQ_GRID[mask], axis=0)
+
+
+# psd @ _BAND_WEIGHTS integrates every grid row over the five BANDS, then over
+# 1-45 Hz (column _TOTAL) and 8-12 Hz (column _ALPHA) by the trapezoid rule
+_BAND_WEIGHTS = np.column_stack(
+    [_trapezoid_weights(lo, hi) for _, lo, hi in BANDS]
+    + [_trapezoid_weights(1.0, 45.0), _trapezoid_weights(8.0, 12.0)]
+)
+_BAND_WEIGHTS.flags.writeable = False
+_TOTAL, _ALPHA = len(BANDS), len(BANDS) + 1
+
+
 @dataclass(frozen=True)
 class Epoch:
     """One contiguous multichannel segment, canonical 19-channel order."""
@@ -150,11 +165,6 @@ def epoch_and_reject(
     return epochs
 
 
-def _band_integral(psd_row: np.ndarray, lo: float, hi: float) -> float:
-    mask = (FREQ_GRID >= lo) & (FREQ_GRID <= hi)
-    return float(np.trapezoid(psd_row[mask], FREQ_GRID[mask]))
-
-
 def select_awake_epochs(
     epochs: list[Epoch], min_epochs: int = 2, max_epochs: int = 6
 ) -> list[Epoch]:
@@ -173,11 +183,9 @@ def select_awake_epochs(
         )
     scores = np.empty(len(epochs))
     for i, e in enumerate(epochs):
-        psd = welch(e).psd
-        alpha = [_band_integral(psd[ch], 8.0, 12.0) for ch in (O1_INDEX, O2_INDEX)]
-        total = [_band_integral(psd[ch], 1.0, 45.0) for ch in (O1_INDEX, O2_INDEX)]
-        shares = [a / t if t > 0 else 0.0 for a, t in zip(alpha, total)]
-        scores[i] = np.mean(shares)
+        power = welch(e).psd[[O1_INDEX, O2_INDEX]] @ _BAND_WEIGHTS
+        alpha, total = power[:, _ALPHA], power[:, _TOTAL]
+        scores[i] = np.mean(np.divide(alpha, total, out=np.zeros(2), where=total > 0))
     k = min(max(len(epochs), min_epochs), max_epochs)
     picked = np.argsort(-scores, kind="stable")[:k]
     return [epochs[i] for i in sorted(picked)]
@@ -239,11 +247,8 @@ def pib(x: EpochSpectrum) -> PibVector:
     Band integrals are trapezoids on the grid; shared band edges contribute
     half to each side so the five shares of a channel sum to exactly 1.
     """
-    values = np.empty(len(CHANNELS) * len(BANDS))
-    for ch in range(len(CHANNELS)):
-        total = _band_integral(x.psd[ch], 1.0, 45.0)
-        if total <= 0.0:
-            raise IngestError(f"zero total power in channel {CHANNELS[ch]}")
-        for b, (_, lo, hi) in enumerate(BANDS):
-            values[ch * len(BANDS) + b] = _band_integral(x.psd[ch], lo, hi) / total
-    return PibVector(values)
+    power = x.psd @ _BAND_WEIGHTS
+    total = power[:, _TOTAL]
+    if np.any(total <= 0.0):
+        raise IngestError(f"zero total power in channel {CHANNELS[np.argmax(total <= 0.0)]}")
+    return PibVector((power[:, : len(BANDS)] / total[:, None]).ravel())

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from eegfactor import Tensor3, load_tensor, save_tensor
 from eegfactor.cli import main
 
 CONFIG = """\
@@ -32,6 +33,18 @@ def workdir(tmp_path):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(CONFIG)
     return tmp_path / "work", cfg
+
+
+@pytest.fixture()
+def factor_workdir(workdir):
+    """A work dir holding a 10-epoch tensor, its provenance and rank-3 factors."""
+    wd, cfg = workdir
+    assert run("--config", str(cfg), "--workdir", str(wd), "synth",
+               "--mode", "tensor", "--dims", "10", "19", "89") == 0
+    (wd / "factors.json").write_bytes((wd / "truth_factors.json").read_bytes())
+    rows = "".join(f"{e},S{e},S{e}_r0,{e}\n" for e in range(10))
+    (wd / "prov.csv").write_text("epoch_row,subject_id,recording_id,epoch_index\n" + rows)
+    return wd, cfg
 
 
 def read_csv(path):
@@ -190,3 +203,36 @@ class TestErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.yaml"), "report") == 1
+
+    def test_non_integer_provenance_index(self, factor_workdir, capsys):
+        wd, cfg = factor_workdir
+        prov = wd / "prov.csv"
+        prov.write_text(prov.read_text().replace("S3_r0,3", "S3_r0,three"))
+        code = run("--config", str(cfg), "--workdir", str(wd), "project",
+                   "--tensor", str(wd / "tensor.bin"), "--provenance", str(prov))
+        assert code == 2
+        assert "epoch_index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,row", [
+        ("weights.csv", "s1,r1,0,0.5,oops,0.1"),
+        ("validation_pib.csv", "s1,r1,0,0.5"),
+    ], ids=["non-numeric", "ragged"])
+    def test_malformed_feature_row(self, workdir, capsys, name, row):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "labels.csv").write_text("subject_id,label\ns0,CN\ns1,AD\n")
+        (wd / name).write_text("subject_id,recording_id,epoch_index,w1,w2,w3\n"
+                               "s0,r0,0,0.1,0.2,0.3\n" + row + "\n")
+        code = run("--config", str(cfg), "--workdir", str(wd), "classify")
+        assert code == 2
+        assert f"{name} line 3" in capsys.readouterr().err
+
+    def test_negative_spectrum_names_row(self, factor_workdir, capsys):
+        wd, cfg = factor_workdir
+        data = load_tensor(wd / "tensor.bin").data.copy()
+        data[4, 2, 7] = -1.0
+        save_tensor(Tensor3(data), wd / "bad.bin")
+        code = run("--config", str(cfg), "--workdir", str(wd), "project",
+                   "--tensor", str(wd / "bad.bin"), "--provenance", str(wd / "prov.csv"))
+        assert code == 2
+        assert "tensor row 4" in capsys.readouterr().err

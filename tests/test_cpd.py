@@ -95,6 +95,16 @@ class TestAls:
         assert np.all(np.isfinite(res.factors.A))
         assert res.rel_error < 1e-8  # the live component still fits the rank-1 data
 
+    def test_collinear_large_gramian_regularized_and_flagged(self):
+        # duplicate columns at a large scale: G is singular and its Cholesky
+        # pivot is roundoff far above an absolute 1e-10 ridge
+        t, truth = make_tensor(SynthSpec(dims=(8, 6, 7), rank=1, seed=13))
+        rng = np.random.default_rng(0)
+        init = tuple(np.repeat(1e4 * rng.uniform(0, 1, (d, 1)), 2, axis=1) for d in (8, 6, 7))
+        res = cpd_als(t, CpdOptions(rank=2, n_starts=1, max_iters=30, seed=0), init=init)
+        assert res.gram_regularized
+        assert np.all(np.isfinite(res.factors.A))
+
 
 class TestGaussNewton:
     def test_planted_noiseless_recovery(self, planted_small, tight_opts):
@@ -214,14 +224,24 @@ class TestGramError:
     @staticmethod
     def gram_error(t, fs):
         from eegfactor.cpd import _gram_error
+        from eegfactor.tensor import mttkrp
 
-        return _gram_error(t, t.norm(), fs.A * fs.weights, fs.B, fs.C)[0]
+        A = fs.A * fs.weights
+        MC = mttkrp(t, FactorSet(fs.rank, A, fs.B, fs.C, np.ones(fs.rank)), 2)
+        return _gram_error(t, t.norm(), A, fs.B, fs.C, MC)[0]
 
     def test_gram_error_matches_relative_error(self, planted_noisy):
         t, truth = planted_noisy
         exact = relative_error(t, truth)
         assert exact > 1e-2
         assert self.gram_error(t, truth) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_last_trace_entry_is_reported_error(self, planted_noisy, solver):
+        t, _ = planted_noisy
+        res = solver(t, CpdOptions(rank=3, n_starts=2, max_iters=60, seed=4))
+        assert res.rel_error > 1e-2
+        assert res.trace[-1] == pytest.approx(res.rel_error, rel=1e-10)
 
     def test_gram_error_falls_back_to_exact_norm(self, planted_small, monkeypatch):
         cpd_module = importlib.import_module("eegfactor.cpd")
@@ -230,8 +250,9 @@ class TestGramError:
         near = FactorSet(3, truth.A + 1e-11 * rng.standard_normal(truth.A.shape),
                          truth.B, truth.C, truth.weights)
         calls = []
-        exact_norm = cpd_module._rel_error
-        monkeypatch.setattr(cpd_module, "_rel_error", lambda *a: calls.append(a) or exact_norm(*a))
+        exact_norm = cpd_module.relative_error
+        monkeypatch.setattr(cpd_module, "relative_error",
+                            lambda *a: calls.append(a) or exact_norm(*a))
         err = self.gram_error(t, near)
         assert len(calls) == 1
         assert err < 1e-8
