@@ -50,7 +50,7 @@ from .preprocess import (
 from .projection import build_basis, project
 from .rank import diffit
 from .synth import SynthSpec, make_cohort, make_recording, make_tensor
-from .tensor import load_factors, load_tensor, save_factors, save_tensor
+from .tensor import atomic_open, load_factors, load_tensor, save_factors, save_tensor
 
 DEFAULT_CONFIG = {
     "paths": {
@@ -183,7 +183,7 @@ def config_hash(cfg: dict) -> str:
 # deterministic artifact writers
 
 def _write_json(path: Path, doc: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -195,7 +195,7 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
@@ -212,17 +212,45 @@ def _write_stage_config(workdir: Path, stage: str, cfg: dict, seed: int):
     _write_json(workdir / f"{stage}.config.json", doc)
 
 
+def _holder_is_dead(lock_path: Path) -> bool:
+    """True only when the lock holds a positive PID that no process has."""
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+        if pid <= 0:
+            return False
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        # unreadable, not a PID, or a live process of another user
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
-    """Single-writer guard; concurrent invocations on one work dir refuse."""
+    """Single-writer guard; concurrent invocations on one work dir refuse.
+
+    A lock whose PID names no running process was left by a killed stage; it
+    is removed and the lock taken once more.
+    """
     workdir.mkdir(parents=True, exist_ok=True)
     lock_path = workdir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    locked = ConfigError(
+        f"work dir {workdir} is locked by another invocation (remove {lock_path} if stale)"
+    )
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise ConfigError(
-            f"work dir {workdir} is locked by another invocation (remove {lock_path} if stale)"
-        ) from None
+        if not _holder_is_dead(lock_path):
+            raise locked from None
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(lock_path)
+        try:
+            fd = os.open(lock_path, flags)
+        except FileExistsError:
+            raise locked from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -569,7 +597,8 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
                 recording_id=f"S{i:03d}_r0",
             )
             name = f"rec_{i:03d}.edf"
-            (workdir / name).write_bytes(write_edf(rec))
+            with atomic_open(workdir / name, "wb") as fh:
+                fh.write(write_edf(rec))
             rows.append((name, f"S{i:03d}", ""))
         _write_csv(workdir / "manifest.csv", ["path", "subject_id", "label"], rows)
         _write_stage_config(workdir, "synth", cfg, seed)

@@ -10,6 +10,12 @@ every problem size it takes the exact damped step, solving the normal
 equations through the Schur complement on the (B, C) factors after
 eliminating the block-diagonal A block.  The Jacobian over all tensor entries
 is never materialized.
+
+The scipy routines (``cho_factor``/``cho_solve`` and
+``linear_sum_assignment``) are imported inside the functions that call them.
+Every CLI stage is a fresh interpreter, and a module-level import would charge
+the stages that never fit a CPD for loading ``scipy.linalg`` and
+``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -17,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ArgumentError
 from .tensor import FactorSet, Tensor3, mttkrp, relative_error
@@ -136,6 +140,8 @@ def _pick_best(t: Tensor3, rank: int, runs: list) -> CpdResult:
 # ALS
 
 def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
+    from scipy.linalg import cho_factor, cho_solve
+
     normX = t.norm()
     factors = [np.array(M, dtype=np.float64) for M in init]
     ones = np.ones(rank)
@@ -208,6 +214,8 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     so E only enters the O(E r^2) right-hand side and back-substitution.  It
     is factored with Cholesky; a failed factorization raises LinAlgError.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     S, r = B.shape
     F = C.shape[0]
     n = S + F
@@ -340,6 +348,8 @@ def factor_match_score(a: FactorSet, b: FactorSet) -> float:
 
     The best matching is the optimal assignment on the component-pair scores.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if a.rank != b.rank:
         raise ArgumentError(f"rank mismatch: {a.rank} vs {b.rank}")
     if a.dims != b.dims:

@@ -33,7 +33,13 @@ class Recording:
     subject_id: str = ""
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64, order="C")
+        arr = self.samples
+        # a read-only float64 array that owns its data cannot change under
+        # the recording, so the signal chain hands its fresh arrays over
+        # without one more full-recording copy per step
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ArgumentError(f"samples must be 2-D, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -194,6 +200,7 @@ def read_edf(data: bytes) -> Recording:
     if resampled:
         recording_id = (recording_id + " [resampled]").strip()
     subject_id = patient.split()[0] if patient else ""
+    signals.flags.writeable = False
     return Recording(
         samples=signals,
         sample_rate=target_rate,
@@ -339,8 +346,10 @@ def select_channels(r: Recording, order=CHANNELS) -> Recording:
         raise IngestError(
             f"recording {r.recording_id or '<unnamed>'} lacks channels: {', '.join(missing)}"
         )
+    samples = r.samples[indices]
+    samples.flags.writeable = False
     return Recording(
-        samples=r.samples[indices],
+        samples=samples,
         sample_rate=r.sample_rate,
         channel_labels=tuple(order),
         recording_id=r.recording_id,

@@ -4,13 +4,17 @@ The chain per recording: zero-phase band-pass, contiguous 10-s epoching with
 high-power Cz rejection, awake-epoch selection by posterior alpha, Welch power
 spectral densities on a fixed 1.0-45.0 Hz grid, and stacking into the
 population tensor.  Power-in-bands (PIB) baseline features live here too.
+
+``scipy.signal`` is imported inside ``bandpass`` and ``welch``, the two
+functions that use it.  Every CLI stage is a fresh interpreter, and importing
+it at module level cost every stage about 1.3 s of start-up, including the
+stages that never filter or estimate a spectrum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .channels import CHANNELS, CZ_INDEX, O1_INDEX, O2_INDEX
 from .edf import Recording
@@ -106,12 +110,15 @@ class PibVector:
 
 def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) -> Recording:
     """Zero-phase Butterworth band-pass (cascaded biquads, forward-backward)."""
+    from scipy import signal as sps
+
     if r.sample_rate <= 2.0 * hi:
         raise ArgumentError(
             f"sample rate {r.sample_rate} Hz cannot support a {hi} Hz band edge"
         )
     sos = sps.butter(order, [lo, hi], btype="bandpass", fs=r.sample_rate, output="sos")
-    filtered = sps.sosfiltfilt(sos, r.samples, axis=1)
+    filtered = np.ascontiguousarray(sps.sosfiltfilt(sos, r.samples, axis=1))
+    filtered.flags.writeable = False
     return Recording(
         samples=filtered,
         sample_rate=r.sample_rate,
@@ -194,6 +201,8 @@ def select_awake_epochs(
 def welch(e: Epoch) -> EpochSpectrum:
     """Welch PSD per channel: 2-s Hamming segments, 50% overlap, density
     scaling, linearly interpolated onto the fixed 1.0-45.0 Hz grid."""
+    from scipy import signal as sps
+
     fs = e.sample_rate
     if fs < 96.0:
         raise ArgumentError(f"sample rate {fs} Hz cannot support the 45 Hz grid")

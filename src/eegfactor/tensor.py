@@ -10,7 +10,9 @@ row-major index e*S*F + s*F + f, i.e. a C-contiguous numpy array of shape
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -193,10 +195,28 @@ def relative_error(t: Tensor3, fs: FactorSet) -> float:
 _HEADER = struct.Struct("<QQQ")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write ``<path>.tmp`` in the same directory, then ``os.replace`` it
+    onto ``path``, so a killed writer never leaves a truncated ``path``.
+
+    If the body raises, the temp file is removed and ``path`` is untouched.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_tensor(t: Tensor3, path):
     """Write the flat binary format: 3 LE uint64 dims then row-major LE float64."""
     E, S, F = t.dims
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(E, S, F))
         fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
 
@@ -230,7 +250,7 @@ def save_factors(fs: FactorSet, path):
         "B": fs.B.tolist(),
         "C": fs.C.tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

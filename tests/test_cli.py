@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,7 @@ class TestPipeline:
         assert doc["rank_report_modal_rank"] == 3
         assert "summary.csv" in doc["artifacts"]
         assert doc["config_hash"] == meta["config_hash"]
+        assert not list(wd.glob("*.tmp"))
 
     def test_stage_rerun_is_byte_identical(self, workdir):
         wd, cfg = workdir
@@ -184,6 +189,24 @@ class TestErrors:
         assert code == 1
         assert "lock" in capsys.readouterr().err.lower()
 
+    def test_lock_of_dead_process_taken_over(self, workdir):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its PID names no process
+        (wd / ".lock").write_text(str(child.pid))
+        assert run("--config", str(cfg), "--workdir", str(wd), "report") == 0
+        assert not (wd / ".lock").exists()
+
+    def test_lock_of_live_process_refused(self, workdir, capsys):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / ".lock").write_text(str(os.getpid()))
+        code = run("--config", str(cfg), "--workdir", str(wd), "report")
+        assert code == 1
+        assert "lock" in capsys.readouterr().err.lower()
+        assert (wd / ".lock").read_text() == str(os.getpid())
+
     def test_lock_released_after_run(self, workdir):
         wd, cfg = workdir
         assert run("--config", str(cfg), "--workdir", str(wd), "synth",
@@ -236,3 +259,18 @@ class TestErrors:
                    "--tensor", str(wd / "bad.bin"), "--provenance", str(wd / "prov.csv"))
         assert code == 2
         assert "tensor row 4" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_heavy_scipy(self):
+        # every stage is a fresh interpreter, so a top-level import of one of
+        # these adds its load time (about 1.3 s for all four) to every stage
+        heavy = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.linalg")
+        probe = (
+            "import sys; import eegfactor.cli; import eegfactor; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == []

@@ -62,6 +62,21 @@ class TestRoundTrip:
         assert back.recording_id == "P42_s1"
 
 
+class TestRecordingOwnership:
+    def test_caller_array_is_copied(self):
+        x = np.zeros((2, 512))
+        rec = Recording(samples=x, sample_rate=256.0, channel_labels=("C3", "C4"))
+        x[0, 0] = 1.0
+        assert rec.samples[0, 0] == 0.0
+        assert x.flags.writeable and not rec.samples.flags.writeable
+
+    def test_frozen_samples_are_shared(self):
+        rec = read_edf(write_edf(make_recording(seed=3, duration=20.0)))
+        relabelled = Recording(samples=rec.samples, sample_rate=rec.sample_rate,
+                               channel_labels=rec.channel_labels, subject_id="S9")
+        assert relabelled.samples is rec.samples
+
+
 class TestWriteErrors:
     def test_empty_channel_list(self):
         empty = Recording(samples=np.zeros((0, 10)), sample_rate=256.0, channel_labels=())

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,21 @@ class TestSerialization:
         assert path.stat().st_size == 24 + 3 * 4 * 5 * 8
         back = load_tensor(path)
         np.testing.assert_array_equal(back.data, t.data)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "tensor.bin"
+        save_tensor(cube(), path)
+        before = path.read_bytes()
+
+        def die(*args, **kwargs):
+            raise RuntimeError("killed mid-write")
+
+        # the header is written, then the data conversion raises
+        broken = SimpleNamespace(dims=(2, 2, 2), data=SimpleNamespace(astype=die))
+        with pytest.raises(RuntimeError):
+            save_tensor(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tensor.bin"]
 
     def test_truncated_tensor_file(self, tmp_path):
         path = tmp_path / "bad.bin"
