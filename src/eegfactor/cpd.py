@@ -4,18 +4,18 @@ Both solvers share seeded uniform(0,1) multi-start initialization, stop on
 relative fit change, and return canonically normalized factors.  Both score
 every iterate with the Gram identity (``_gram_error``): the factor Gramians
 and one mode-2 MTTKRP the solver already holds, rather than a full
-reconstruction.  Both factor their linear systems with Cholesky.  The
+reconstruction.  ALS factors its r x r Gramian systems with Cholesky.  The
 Gauss-Newton path is Levenberg-Marquardt on the stacked factor vector: at
 every problem size it takes the exact damped step, solving the normal
-equations through the Schur complement on the (B, C) factors after
-eliminating the block-diagonal A block.  The Jacobian over all tensor entries
-is never materialized.
+equations through a 3r^2 x 3r^2 system in the products dn^T n that couple
+the three modes (``_gn_step``).  Neither the Jacobian over all tensor
+entries nor the r(E+S+F)-square normal matrix is ever materialized.
 
-The scipy routines (``cho_factor``/``cho_solve`` and
-``linear_sum_assignment``) are imported inside the functions that call them.
-Every CLI stage is a fresh interpreter, and a module-level import would charge
-the stages that never fit a CPD for loading ``scipy.linalg`` and
-``scipy.optimize``.
+The scipy routines (``cho_factor``/``cho_solve`` in ALS and
+``linear_sum_assignment``) are imported inside the functions that call them;
+the Gauss-Newton path uses numpy alone.  Every CLI stage is a fresh
+interpreter, and a module-level import would charge the stages that never
+call them for loading ``scipy.linalg`` and ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -208,45 +208,55 @@ def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
 def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     """Exact damped Gauss-Newton step: solve (J^T J + mu I) delta = -g.
 
-    The A block of the damped matrix is I_E (x) K with K = ZB*ZC + mu I, so A
-    is eliminated with the r x r inverse of K.  The Schur complement on
-    (B, C) has size r(S+F) and is assembled from B, C and the Gramians alone,
-    so E only enters the O(E r^2) right-hand side and back-substitution.  It
-    is factored with Cholesky; a failed factorization raises LinAlgError.
-    """
-    from scipy.linalg import cho_factor, cho_solve
+    The three modes are coupled only through the r x r products
+    Phi_n = dn^T n (Tichavsky, Phan & Cichocki, SIAM J. Matrix Anal. Appl.
+    34(1), 2013).  With K_A = ZB*ZC + mu I, and K_B, K_C alike, the A rows
+    of the system read
 
-    S, r = B.shape
-    F = C.shape[0]
-    n = S + F
-    eye = np.eye(r)
-    Kinv = np.linalg.inv(ZB * ZC + mu * eye)
-    # row (s, i) of U is B[s, :] * ZC[:, i]; row (f, i) is C[f, :] * ZB[:, i]
-    U = np.concatenate([
-        (B[:, None, :] * ZC.T[None, :, :]).reshape(S * r, r),
-        (C[:, None, :] * ZB.T[None, :, :]).reshape(F * r, r),
-    ])
-    # the A-coupling of every (B, C) pair is (U Kinv U^T) * ZA, tiled
-    schur = (U @ Kinv @ U.T).reshape(n, r, n, r)
-    schur *= -ZA[None, :, None, :]
-    diag_b, diag_c = np.arange(S), np.arange(S, n)
-    schur[diag_b, :, diag_b, :] += ZA * ZC + mu * eye
-    schur[diag_c, :, diag_c, :] += ZA * ZB + mu * eye
-    # J^T J cross block [(s, i), (f, j)] = B[s, j] * C[f, i] * ZA[i, j]; only
-    # the upper triangle is filled, because Cholesky reads no other
-    schur[:S, :, S:, :] += B[:, None, None, :] * ZA[None, :, None, :] * C.T[None, :, :, None]
-    YA = gA @ Kinv
-    W = YA.T @ A
-    rhs = np.concatenate([
-        (B @ (W * ZC) - gB).ravel(),
-        (C @ (W * ZB) - gC).ravel(),
-    ])
-    factor = cho_factor(schur.reshape(n * r, n * r), overwrite_a=True, check_finite=False)
-    x = cho_solve(factor, rhs, check_finite=False)
-    dB = x[: S * r].reshape(S, r)
-    dC = x[S * r :].reshape(F, r)
-    dA = -YA - A @ (((dB.T @ B) * ZC + (dC.T @ C) * ZB) @ Kinv)
-    return dA, dB, dC
+        dA = -(gA + A (Phi_B*ZC + Phi_C*ZB)) K_A^{-1},
+
+    and B and C follow the same pattern.  Multiplying each by its factor
+    gives a 3r^2 x 3r^2 system (I + L) phi = b for the three Phi: the block
+    of L for (n <- m) is (K_n^{-1} (x) Z_n) diag(vec Z_k) P_r, with k the
+    third mode, P_r the r^2 x r^2 commutation (Phi -> Phi^T) and row-major
+    vec; b_n = -vec(K_n^{-1} g_n^T n).  I + L is nonsingular whenever the
+    damped matrix is, and a singular system raises LinAlgError.
+
+    When the factor norms differ by orders of magnitude, as in an
+    over-factored fit, I + L is badly scaled and the Phi it yields lose
+    digits.  So the step is refined once: the residual of the full system,
+    g + (J^T J + mu I) delta, comes from the same r x r products, and its
+    correction is one more solve with the same I + L.  The work is
+    O((E+S+F) r^2 + r^6).
+    """
+    r = A.shape[1]
+    X, Z = (A, B, C), (ZA, ZB, ZC)
+    others = ((1, 2), (0, 2), (0, 1))
+    K = [Z[m] * Z[k] + mu * np.eye(r) for m, k in others]
+    Kinv = [np.linalg.inv(Kn) for Kn in K]
+    rr = r * r
+    # column (i, j) of a block reads Phi_m[j, i]: the commutation P_r
+    swap = np.arange(rr).reshape(r, r).T.ravel()
+    lhs = np.eye(3 * rr)
+    for n, (m, k) in enumerate(others):
+        KZ = np.kron(Kinv[n], Z[n])
+        for src, third in ((m, k), (k, m)):
+            lhs[n * rr:(n + 1) * rr, src * rr:(src + 1) * rr] += (KZ * Z[third].ravel())[:, swap]
+
+    def coupling(phi):
+        # the rows of J^T J delta that mix modes: n (Phi_m*Z_k + Phi_k*Z_m)
+        return [X[n] @ (phi[m] * Z[k] + phi[k] * Z[m]) for n, (m, k) in enumerate(others)]
+
+    def solve(g):
+        b = np.concatenate([(Kinv[n] @ (g[n].T @ X[n])).ravel() for n in range(3)])
+        phi = -np.linalg.solve(lhs, b).reshape(3, r, r)
+        return [-(g[n] + c) @ Kinv[n] for n, c in enumerate(coupling(phi))]
+
+    g = (gA, gB, gC)
+    d = solve(g)
+    phi = [dn.T @ Xn for dn, Xn in zip(d, X)]
+    res = [g[n] + d[n] @ K[n] + c for n, c in enumerate(coupling(phi))]
+    return tuple(dn + en for dn, en in zip(d, solve(res)))
 
 
 def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
@@ -308,7 +318,8 @@ def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     """Damped Gauss-Newton (Levenberg-Marquardt) CPD fit.
 
     Every iteration takes the exact damped step at the current damping (see
-    ``_gn_step``), whatever the problem size.  Shares the ALS seeding scheme
+    ``_gn_step``), whatever the problem size; a singular step system raises
+    the damping tenfold and retries.  Shares the ALS seeding scheme
     so both solvers explore identical starts for a given seed; ``init``
     (A, B, C) forces a single run."""
     _validate_problem(t, opts.rank)

@@ -30,7 +30,12 @@ class Tensor3:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        arr = self.data
+        # a read-only float64 array that owns its data cannot change under
+        # the tensor, so a loader hands its fresh array over without a copy
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ArgumentError(f"Tensor3 requires a 3-D array, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -185,8 +190,10 @@ def relative_error(t: Tensor3, fs: FactorSet) -> float:
     nrm = t.norm()
     if nrm == 0.0:
         raise ArgumentError("relative_error is undefined for a zero-norm tensor")
-    approx = np.einsum("r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True)
-    return float(np.linalg.norm(t.data - approx) / nrm)
+    resid = np.einsum("r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True)
+    # one E x S x F temporary: t - approx and approx - t have the same norm
+    resid -= t.data
+    return float(np.linalg.norm(resid) / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +229,24 @@ def save_tensor(t: Tensor3, path):
 
 
 def load_tensor(path) -> Tensor3:
+    """Read the flat binary format straight into the array the tensor keeps."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ParseError("tensor file truncated before header", field="dims", offset=len(raw))
-    E, S, F = _HEADER.unpack_from(raw, 0)
-    expected = _HEADER.size + E * S * F * 8
-    if len(raw) != expected:
-        raise ParseError(
-            f"tensor file has {len(raw)} bytes, expected {expected} for dims ({E},{S},{F})",
-            field="data",
-            offset=min(len(raw), expected),
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(E, S, F)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError("tensor file truncated before header", field="dims", offset=len(head))
+        E, S, F = _HEADER.unpack(head)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + E * S * F * 8
+        if size != expected:
+            raise ParseError(
+                f"tensor file has {size} bytes, expected {expected} for dims ({E},{S},{F})",
+                field="data",
+                offset=min(size, expected),
+            )
+        data = np.empty((E, S, F), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise ParseError("tensor file changed while it was read", field="data")
+    data.flags.writeable = False
     try:
         return Tensor3(data)
     except ArgumentError as exc:
@@ -262,12 +274,12 @@ def load_factors(path) -> FactorSet:
         except json.JSONDecodeError as exc:
             raise ParseError(f"factor file is not valid JSON: {exc}") from exc
     try:
-        return FactorSet(
-            rank=int(doc["rank"]),
-            A=np.asarray(doc["A"], dtype=np.float64),
-            B=np.asarray(doc["B"], dtype=np.float64),
-            C=np.asarray(doc["C"], dtype=np.float64),
-            weights=np.asarray(doc["lambda"], dtype=np.float64),
-        )
+        rank = int(doc["rank"])
+        fields = {k: np.asarray(doc[k], dtype=np.float64) for k in ("A", "B", "C", "lambda")}
+        # json accepts NaN and Infinity, which no fit produces
+        for k, v in fields.items():
+            if not np.all(np.isfinite(v)):
+                raise ParseError("factor file holds a non-finite value", field=k)
+        return FactorSet(rank, fields["A"], fields["B"], fields["C"], fields["lambda"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"factor file missing or malformed field: {exc}") from exc

@@ -260,6 +260,16 @@ class TestErrors:
         assert code == 2
         assert "tensor row 4" in capsys.readouterr().err
 
+    def test_non_finite_factor_names_field(self, factor_workdir, capsys):
+        wd, cfg = factor_workdir
+        doc = json.loads((wd / "factors.json").read_text())
+        doc["B"][5][1] = float("nan")
+        (wd / "factors.json").write_text(json.dumps(doc))
+        code = run("--config", str(cfg), "--workdir", str(wd), "project",
+                   "--tensor", str(wd / "tensor.bin"), "--provenance", str(wd / "prov.csv"))
+        assert code == 2
+        assert "field: B" in capsys.readouterr().err
+
 
 class TestImportCost:
     def test_cli_import_loads_no_heavy_scipy(self):
@@ -269,6 +279,22 @@ class TestImportCost:
         probe = (
             "import sys; import eegfactor.cli; import eegfactor; "
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == []
+
+    def test_gn_fit_loads_no_scipy(self):
+        # the GN decompose stage solves its steps with numpy alone, so it
+        # pays no scipy start-up at all
+        probe = (
+            "import sys\n"
+            "from eegfactor import CpdOptions, SynthSpec, cpd_gn, make_tensor\n"
+            "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
+            "res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, max_iters=10, solver='GN'))\n"
+            "assert res.iterations > 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

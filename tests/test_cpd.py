@@ -146,7 +146,7 @@ class TestGaussNewton:
         np.testing.assert_array_equal(r1.factors.A, r2.factors.A)
 
     def test_large_problem_recovery(self):
-        # r(E+S+F) = 2424: a size the Schur-complement step takes like any other
+        # r(E+S+F) = 2424: a size the exact step takes like any other
         t, truth = make_tensor(SynthSpec(dims=(700, 19, 89), rank=3, seed=21))
         res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, tol=1e-14, max_iters=60, seed=3))
         assert res.rel_error < 1e-6
@@ -178,9 +178,12 @@ def dense_hessian(A, B, C, mu):
 
 
 class TestHessianPieces:
-    @pytest.mark.parametrize("dims,r", [((7, 4, 5), 2), ((200, 19, 89), 5)], ids=["E7-r2", "E200-r5"])
+    # E2-r3: E < r, so ZA is singular while every damped K_n is not
+    @pytest.mark.parametrize("dims,r", [
+        ((7, 4, 5), 2), ((200, 19, 89), 5), ((7, 4, 5), 1), ((2, 19, 89), 3),
+    ], ids=["E7-r2", "E200-r5", "E7-r1", "E2-r3"])
     @pytest.mark.parametrize("mu", [10.0, 1e-2])
-    def test_schur_step_matches_dense_solve(self, dims, r, mu):
+    def test_gn_step_matches_dense_solve(self, dims, r, mu):
         from eegfactor.cpd import _gn_step
 
         rng = np.random.default_rng(6)
@@ -191,6 +194,38 @@ class TestHessianPieces:
         rhs = -np.concatenate([gA.ravel(), gB.ravel(), gC.ravel()])
         dense = np.linalg.solve(dense_hessian(A, B, C, mu), rhs)
         assert np.linalg.norm(step - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    def test_gn_step_accurate_on_over_factored_fit(self, monkeypatch):
+        # a rank-5 fit of a rank-3 tensor drifts to factor norms that differ
+        # by orders of magnitude, where the 3r^2 system alone loses digits.
+        # The oracle is the dense solve refined with a long-double residual;
+        # steps whose plain dense solve misses it by more than 1e-10 are too
+        # ill-conditioned for any float64 solver to meet the bound, so skipped
+        from scipy.linalg import lu_factor, lu_solve
+
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        real_step, seen = cpd_module._gn_step, []
+        monkeypatch.setattr(cpd_module, "_gn_step", lambda *a: seen.append(a) or real_step(*a))
+        t, _ = make_tensor(SynthSpec(dims=(20, 19, 89), rank=3, snr_db=20, seed=1))
+        cpd_gn(t, CpdOptions(rank=5, max_iters=30, n_starts=1, seed=0, solver="GN"))
+        checked = 0
+        for args in seen:
+            A, B, C, _, _, _, gA, gB, gC, mu = args
+            lu = lu_factor(dense_hessian(A, B, C, mu))
+            H_long = dense_hessian(*(M.astype(np.longdouble) for M in (A, B, C)), np.longdouble(mu))
+            rhs = -np.concatenate([gA.ravel(), gB.ravel(), gC.ravel()])
+            dense = lu_solve(lu, rhs)
+            exact = dense.astype(np.longdouble)
+            for _ in range(3):
+                exact += lu_solve(lu, (rhs - H_long @ exact).astype(np.float64))
+            exact = exact.astype(np.float64)
+            scale = np.linalg.norm(exact)
+            if np.linalg.norm(dense - exact) > 1e-10 * scale:
+                continue
+            step = np.concatenate([d.ravel() for d in real_step(*args)])
+            assert np.linalg.norm(step - exact) <= 1e-9 * scale
+            checked += 1
+        assert checked >= 20
 
     def test_hessian_matches_finite_differences(self):
         # JtJ of the residual map equals the Gauss-Newton term of the true

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,47 @@ class TestTensor3:
             for s in range(S):
                 for f in range(F):
                     assert flat[e * S * F + s * F + f] == t.data[e, s, f]
+
+
+class TestTensorOwnership:
+    def test_caller_array_is_copied(self):
+        x = np.zeros((2, 3, 4))
+        t = Tensor3(x)
+        x[0, 0, 0] = 1.0
+        assert t.data[0, 0, 0] == 0.0
+        assert x.flags.writeable and not t.data.flags.writeable
+
+    def test_frozen_data_is_shared(self):
+        t = cube()
+        assert Tensor3(t.data).data is t.data
+
+    def test_view_of_frozen_data_is_copied(self):
+        t = cube()
+        assert not np.shares_memory(Tensor3(t.data[:1]).data, t.data)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_one_copy(self, tmp_path):
+        t = Tensor3(np.random.default_rng(3).standard_normal((200, 19, 89)))
+        save_tensor(t, tmp_path / "t.bin")
+        back = []
+        peak = self.traced_peak(lambda: back.append(load_tensor(tmp_path / "t.bin")))
+        assert back[0].data.flags.owndata and not back[0].data.flags.writeable
+        # the data itself plus the finiteness mask; not the raw bytes as well
+        assert peak < 1.5 * t.data.nbytes
+
+    def test_relative_error_holds_one_temporary(self):
+        rng = np.random.default_rng(4)
+        t = Tensor3(rng.standard_normal((200, 19, 89)))
+        fs = random_factors(rng, t.dims, 3)
+        assert self.traced_peak(lambda: relative_error(t, fs)) < 1.5 * t.data.nbytes
 
 
 class TestUnfold:
