@@ -24,13 +24,12 @@ from .tensor import (
     save_tensor,
     unfold,
 )
-from .edf import ManifestEntry, Recording, read_edf, read_edf_file, read_manifest, select_channels, write_edf
+from .edf import Recording, read_edf, read_edf_file, read_manifest, select_channels, write_edf
 from .preprocess import (
     BANDS,
     FREQ_GRID,
     Epoch,
     EpochSpectrum,
-    PibVector,
     bandpass,
     build_tensor,
     epoch_and_reject,
@@ -38,14 +37,12 @@ from .preprocess import (
     select_awake_epochs,
     welch,
 )
-from .cpd import CpdOptions, CpdResult, cpd, cpd_als, cpd_gn, factor_match_score
+from .cpd import CpdOptions, CpdResult, cpd_als, cpd_gn, factor_match_score
 from .rank import RankReport, diffit
-from .projection import ProjectionBasis, WeightVector, build_basis, project, project_matrix
+from .projection import ProjectionBasis, build_basis, project, project_matrix
 from .classify import (
     CohortDataset,
     CVReport,
-    GnbModel,
-    SvmModel,
     assign_folds,
     auc,
     cross_validate,
@@ -55,4 +52,4 @@ from .classify import (
     svm_objective,
     svm_score,
 )
-from .synth import SynthCohort, SynthSpec, make_cohort, make_recording, make_tensor
+from .synth import SynthSpec, make_cohort, make_recording, make_tensor

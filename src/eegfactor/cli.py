@@ -73,7 +73,6 @@ DEFAULT_CONFIG = {
         "n_starts": 5,
         "seed": 0,
         "solver": "GN",
-        "gn_damping_init": 1e-2,
     },
     "diffit": {
         "r_max": 6,
@@ -170,7 +169,6 @@ def cpd_options(cfg: dict, **overrides) -> CpdOptions:
         n_starts=int(section["n_starts"]),
         seed=int(section["seed"]),
         solver=str(section["solver"]),
-        gn_damping_init=float(section["gn_damping_init"]),
     )
 
 
@@ -186,6 +184,25 @@ def _write_json(path: Path, doc: dict):
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def _read_json(path: Path, keys) -> dict:
+    """Parse a JSON artifact that must hold an object with ``keys``.
+
+    A truncated or garbled file, or one missing a key, is a ParseError
+    naming the file and the field, not a traceback.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path.name} is not valid JSON: {exc}", field="body") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path.name} must hold a JSON object", field="body")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{path.name} has no {key!r}", field=key)
+    return doc
 
 
 def _fmt_cell(value) -> str:
@@ -384,7 +401,7 @@ def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
 def run_diffit(cfg: dict, workdir: Path) -> int:
     t = load_tensor(_require(workdir / "tensor.bin", "preprocess"))
     seed = cfg["cpd"]["seed"]
-    opts = cpd_options(cfg, rank=1, solver="ALS")
+    opts = cpd_options(cfg, rank=1)
     report = diffit(
         t, r_max=cfg["diffit"]["r_max"], n_runs=cfg["diffit"]["n_runs"], seed=seed, options=opts
     )
@@ -415,8 +432,11 @@ def _resolve_rank(cfg: dict, workdir: Path, flag_rank) -> int:
         return int(flag_rank)
     report_path = workdir / "rank_report.json"
     if report_path.exists():
-        with open(report_path, encoding="utf-8") as fh:
-            return int(json.load(fh)["modal_rank"])
+        rank = _read_json(report_path, ("modal_rank",))["modal_rank"]
+        if type(rank) is not int or rank < 1:
+            raise ParseError(f"{report_path.name}: modal_rank must be a positive integer, "
+                             f"got {rank!r}", field="modal_rank")
+        return rank
     return int(cfg["cpd"]["rank"])
 
 
@@ -690,24 +710,19 @@ def run_report(cfg: dict, workdir: Path) -> int:
     ):
         path = workdir / source
         if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = _read_json(path, keys)
             for key in keys:
                 summary[f"{source.split('.')[0]}_{key}"] = doc[key]
     cv_path = workdir / "cv_report.json"
     if cv_path.exists():
-        with open(cv_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        summary["classification"] = [
-            {
-                "feature": r["feature"],
-                "model": r["model"],
-                "task": r["task"],
-                "mean_auc": r["mean_auc"],
-                "std_auc": r["std_auc"],
-            }
-            for r in doc["reports"]
-        ]
+        keys = ("feature", "model", "task", "mean_auc", "std_auc")
+        try:
+            summary["classification"] = [
+                {key: r[key] for key in keys} for r in _read_json(cv_path, ("reports",))["reports"]
+            ]
+        except (KeyError, TypeError):
+            raise ParseError(f"{cv_path.name}: each report needs {list(keys)}",
+                             field="reports") from None
     _write_json(workdir / "report.json", summary)
     print(f"report: {len(artifacts)} artifacts summarized")
     return 0

@@ -1,15 +1,17 @@
 """CPD fitting: alternating least squares and damped Gauss-Newton.
 
-Both solvers share seeded uniform(0,1) multi-start initialization, stop on
-relative fit change, and return canonically normalized factors.  Both score
-every iterate with the Gram identity (``_gram_error``): the factor Gramians
-and one mode-2 MTTKRP the solver already holds, rather than a full
-reconstruction.  ALS factors its r x r Gramian systems with Cholesky.  The
-Gauss-Newton path is Levenberg-Marquardt on the stacked factor vector: at
-every problem size it takes the exact damped step, solving the normal
-equations through a 3r^2 x 3r^2 system in the products dn^T n that couple
-the three modes (``_gn_step``).  Neither the Jacobian over all tensor
-entries nor the r(E+S+F)-square normal matrix is ever materialized.
+One best-of-starts loop, ``_best_of_starts``, runs both solvers: it builds
+the seeded uniform(0,1) starts (or takes the one forced ``init``), scores
+each start with the Gram identity (``_gram_error``: the factor Gramians and
+a mode-2 MTTKRP, not a full reconstruction), stops a start on relative fit
+change, and returns the best start's canonically normalized factors.  A
+solver supplies only its update, which scores its iterates the same way:
+``_als_sweeps`` (Cholesky-solved ALS sweeps) or ``_gn_steps``
+(Levenberg-Marquardt on the stacked factor vector).  At every problem size
+GN takes the exact damped step, solving the normal equations through a
+3r^2 x 3r^2 system in the products dn^T n that couple the three modes
+(``_gn_step``); neither the Jacobian over all tensor entries nor the
+r(E+S+F)-square normal matrix is ever materialized.
 
 The scipy routines (``cho_factor``/``cho_solve`` in ALS and
 ``linear_sum_assignment``) are imported inside the functions that call them;
@@ -28,8 +30,11 @@ from .errors import ArgumentError
 from .tensor import FactorSet, Tensor3, mttkrp, relative_error
 
 _GRAM_RIDGE = 1e-10
+_MU_INIT = 1e-2
 _MU_MAX = 1e12
 _MU_MIN = 1e-14
+# a start this close to the tensor is already a solution: no update runs
+_EXACT_ERROR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,6 @@ class CpdOptions:
     n_starts: int = 5
     seed: int = 0
     solver: str = "ALS"
-    gn_damping_init: float = 1e-2
 
     def __post_init__(self):
         if self.rank < 1:
@@ -53,8 +57,6 @@ class CpdOptions:
             raise ArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.solver not in ("ALS", "GN"):
             raise ArgumentError(f"solver must be 'ALS' or 'GN', got {self.solver!r}")
-        if self.gn_damping_init <= 0:
-            raise ArgumentError("gn_damping_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,45 +115,70 @@ def _rebalance(A, B, C):
     return A, B, C
 
 
-def _finalize(t: Tensor3, rank: int, A, B, C, run) -> CpdResult:
-    fs = FactorSet(rank, A, B, C, np.ones(rank)).normalized()
+def _best_of_starts(t: Tensor3, opts: CpdOptions, init, updates) -> CpdResult:
+    """Fit every start with one solver's ``updates`` and keep the best.
+
+    ``updates(t, normX, factors, MC, Z, err)`` receives a scored start (the
+    factors, their mode-2 MTTKRP, Gramians and relative error) and yields
+    ``(factors, err, gram_regularized)`` once per iteration.  Returning
+    instead ends the start with a verdict: True when the solver stalled at
+    the accuracy limit, False when it could not descend.
+    """
+    _validate_problem(t, opts.rank)
+    rank, normX = opts.rank, t.norm()
+    if init is not None:
+        starts = [init]
+    else:
+        starts = (_uniform_init(t.dims, rank, opts.seed, s) for s in range(opts.n_starts))
+    best = None
+    for start, start_factors in enumerate(starts):
+        X = tuple(np.array(M, dtype=np.float64) for M in start_factors)
+        MC = mttkrp(t, FactorSet(rank, *X, np.ones(rank)), 2)
+        err, Z = _gram_error(t, normX, *X, MC)
+        fit = 1.0 - err * err
+        trace = [err]
+        converged = err < _EXACT_ERROR
+        regularized = False
+        steps = updates(t, normX, X, MC, Z, err)
+        while not converged and len(trace) <= opts.max_iters:
+            try:
+                X, err, regularized = next(steps)
+            except StopIteration as stall:
+                converged = stall.value
+                break
+            new_fit = 1.0 - err * err
+            trace.append(err)
+            converged = abs(new_fit - fit) < opts.tol * max(new_fit, 1e-12)
+            fit = new_fit
+        if best is None or fit > best[0]:
+            best = (fit, start, X, trace, converged, regularized)
+    fit, start, X, trace, converged, regularized = best
+    fs = FactorSet(rank, *X, np.ones(rank)).normalized()
     rel = relative_error(t, fs)
     return CpdResult(
         factors=fs,
         rel_error=rel,
         fit=1.0 - rel * rel,
-        iterations=run["iterations"],
-        converged=run["converged"],
-        trace=tuple(run["trace"]),
-        gram_regularized=run["regularized"],
-        start_index=run["start"],
+        iterations=len(trace) - 1,
+        converged=converged,
+        trace=tuple(trace),
+        gram_regularized=regularized,
+        start_index=start,
     )
-
-
-def _pick_best(t: Tensor3, rank: int, runs: list) -> CpdResult:
-    best = runs[0]
-    for run in runs[1:]:
-        if run["fit"] > best["fit"]:
-            best = run
-    return _finalize(t, rank, best["A"], best["B"], best["C"], best)
 
 
 # ---------------------------------------------------------------------------
 # ALS
 
-def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
+def _als_sweeps(t: Tensor3, normX: float, X, MC, Z, err):
+    """ALS sweeps from the start X; the start's MC, Z and err are not needed."""
     from scipy.linalg import cho_factor, cho_solve
 
-    normX = t.norm()
-    factors = [np.array(M, dtype=np.float64) for M in init]
+    factors = list(X)
+    rank = factors[0].shape[1]
     ones = np.ones(rank)
-    err, _ = _gram_error(t, normX, *factors, mttkrp(t, FactorSet(rank, *factors, ones), 2))
-    fit = 1.0 - err * err
-    trace = [err]
     regularized = False
-    converged = False
-    iterations = 0
-    for it in range(1, opts.max_iters + 1):
+    while True:
         for mode in (0, 1, 2):
             P, Q = (factors[m] for m in (0, 1, 2) if m != mode)
             G = (P.T @ P) * (Q.T @ Q)
@@ -165,22 +192,9 @@ def _als_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> di
                 regularized = True
             factors[mode] = cho_solve(factor, M.T, check_finite=False).T
         # M is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
-        new_err, _ = _gram_error(t, normX, *factors, M)
+        err, _ = _gram_error(t, normX, *factors, M)
         _rebalance(*factors)
-        new_fit = 1.0 - new_err * new_err
-        trace.append(new_err)
-        iterations = it
-        if abs(new_fit - fit) < opts.tol * max(new_fit, 1e-12):
-            converged = True
-        err, fit = new_err, new_fit
-        if converged:
-            break
-    A, B, C = factors
-    return {
-        "A": A, "B": B, "C": C, "fit": fit, "trace": trace,
-        "iterations": iterations, "converged": converged,
-        "regularized": regularized, "start": start,
-    }
+        yield tuple(factors), err, regularized
 
 
 def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -191,15 +205,7 @@ def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     factorization fails.  Each sweep is scored with the Gram identity from
     the mode-2 MTTKRP of its own update, so no sweep reconstructs the tensor.
     """
-    _validate_problem(t, opts.rank)
-    if init is not None:
-        runs = [_als_single(t, opts.rank, opts, init, 0)]
-    else:
-        runs = [
-            _als_single(t, opts.rank, opts, _uniform_init(t.dims, opts.rank, opts.seed, s), s)
-            for s in range(opts.n_starts)
-        ]
-    return _pick_best(t, opts.rank, runs)
+    return _best_of_starts(t, opts, init, _als_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +265,24 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     return tuple(dn + en for dn, en in zip(d, solve(res)))
 
 
-def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dict:
-    normX = t.norm()
-    A, B, C = (np.array(M, dtype=np.float64) for M in init)
+def _gn_steps(t: Tensor3, normX: float, X, MC, Z, err):
+    """Accepted damped Gauss-Newton steps from the scored start X.
+
+    MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient
+    term.  A rejected trial raises the damping tenfold; once it passes
+    ``_MU_MAX`` the start ends, converged when no trial did worse than the
+    iterate beyond roundoff.
+    """
+    A, B, C = X
+    ZA, ZB, ZC = Z
+    rank = A.shape[1]
     ones = np.ones(rank)
-    # MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient term
-    MC = mttkrp(t, FactorSet(rank, A, B, C, ones), 2)
-    err, (ZA, ZB, ZC) = _gram_error(t, normX, A, B, C, MC)
-    fit = 1.0 - err * err
-    trace = [err]
-    converged = err < 1e-13
-    iterations = 0
-    mu = opts.gn_damping_init
-    while not converged and iterations < opts.max_iters:
+    mu = _MU_INIT
+    while True:
         fs_ones = FactorSet(rank, A, B, C, ones)
         gA = A @ (ZB * ZC) - mttkrp(t, fs_ones, 0)
         gB = B @ (ZA * ZC) - mttkrp(t, fs_ones, 1)
         gC = C @ (ZA * ZB) - MC
-        accepted = False
         best_trial = np.inf
         while mu <= _MU_MAX:
             try:
@@ -289,29 +295,16 @@ def _gn_single(t: Tensor3, rank: int, opts: CpdOptions, init, start: int) -> dic
             err2, Z2 = _gram_error(t, normX, A2, B2, C2, MC2)
             best_trial = min(best_trial, err2)
             if err2 <= err:
-                A, B, C = A2, B2, C2
+                A, B, C, MC, err = A2, B2, C2, MC2, err2
                 ZA, ZB, ZC = Z2
-                MC = MC2
                 mu = max(mu / 10.0, _MU_MIN)
-                iterations += 1
-                trace.append(err2)
-                fit2 = 1.0 - err2 * err2
-                if abs(fit2 - fit) < opts.tol * max(fit2, 1e-12):
-                    converged = True
-                err, fit = err2, fit2
-                accepted = True
                 break
             mu *= 10.0
-        if not accepted:
-            # damping floor hit: stalled at the numerical accuracy limit or
+        else:
+            # damping ceiling hit: stalled at the numerical accuracy limit or
             # genuinely unable to descend
-            converged = best_trial <= err * (1.0 + 1e-12)
-            break
-    return {
-        "A": A, "B": B, "C": C, "fit": fit, "trace": trace,
-        "iterations": iterations, "converged": converged,
-        "regularized": False, "start": start,
-    }
+            return best_trial <= err * (1.0 + 1e-12)
+        yield (A, B, C), err, False
 
 
 def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -322,22 +315,7 @@ def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     the damping tenfold and retries.  Shares the ALS seeding scheme
     so both solvers explore identical starts for a given seed; ``init``
     (A, B, C) forces a single run."""
-    _validate_problem(t, opts.rank)
-    if init is not None:
-        runs = [_gn_single(t, opts.rank, opts, init, 0)]
-    else:
-        runs = [
-            _gn_single(t, opts.rank, opts, _uniform_init(t.dims, opts.rank, opts.seed, s), s)
-            for s in range(opts.n_starts)
-        ]
-    return _pick_best(t, opts.rank, runs)
-
-
-def cpd(t: Tensor3, opts: CpdOptions) -> CpdResult:
-    """Dispatch on opts.solver."""
-    if opts.solver == "GN":
-        return cpd_gn(t, opts)
-    return cpd_als(t, opts)
+    return _best_of_starts(t, opts, init, _gn_steps)
 
 
 # ---------------------------------------------------------------------------

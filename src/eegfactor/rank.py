@@ -82,6 +82,10 @@ def diffit(
     best-of-starts fit regresses, the previous solution (plus a small random
     extra column) seeds a warm refit, and the previous fit itself is a valid
     floor since padding with a zero component changes nothing.
+
+    Every fit is ALS, whatever ``options.solver`` says: the rank report is
+    defined by ALS fits, and a Gauss-Newton DIFFIT reaches slightly higher
+    fits at the over-factored ranks, which would change ``rank_report.json``.
     """
     if r_max < 3:
         raise ArgumentError(f"r_max must be >= 3, got {r_max}")
@@ -95,7 +99,7 @@ def diffit(
         fits = np.empty(r_max)
         prev: CpdResult | None = None
         for rank in range(1, r_max + 1):
-            opts_r = replace(base, rank=rank, seed=_derived_seed(seed, run, rank), solver="ALS")
+            opts_r = replace(base, rank=rank, seed=_derived_seed(seed, run, rank))
             result = cpd_als(t, opts_r)
             fit_r = result.fit
             if prev is not None and fit_r < fits[rank - 2]:

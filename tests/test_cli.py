@@ -270,6 +270,25 @@ class TestErrors:
         assert code == 2
         assert "field: B" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage,name,text,field", [
+        ("decompose", "rank_report.json", '{"modal_rank": 3', "body"),
+        ("decompose", "rank_report.json", '{"r_max": 6}', "modal_rank"),
+        ("decompose", "rank_report.json", '{"modal_rank": "3"}', "modal_rank"),
+        ("report", "decompose_meta.json", '{"rank": 3, "fit": 0.9', "body"),
+        ("report", "decompose_meta.json", '[3, 0.9]', "body"),
+        ("report", "cv_report.json", '{"reports": [{"feature": "w"}]}', "reports"),
+    ], ids=["truncated-rank", "no-modal-rank", "string-modal-rank",
+            "truncated-meta", "meta-not-object", "cv-report-entry"])
+    def test_malformed_json_artifact_names_file_and_field(
+        self, factor_workdir, capsys, stage, name, text, field
+    ):
+        wd, cfg = factor_workdir
+        (wd / name).write_text(text)
+        assert run("--config", str(cfg), "--workdir", str(wd), stage) == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert f"field: {field}" in err
+
 
 class TestImportCost:
     def test_cli_import_loads_no_heavy_scipy(self):

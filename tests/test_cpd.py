@@ -106,6 +106,31 @@ class TestAls:
         assert np.all(np.isfinite(res.factors.A))
 
 
+class TestStarts:
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_stationary_start_returns_immediately(self, planted_small, solver):
+        t, truth = planted_small
+        res = solver(t, CpdOptions(rank=3, seed=1), init=truth_init(truth))
+        assert res.converged
+        assert res.iterations == 0
+        assert res.rel_error < 1e-10
+
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_best_start_is_first_with_best_fit(self, planted_noisy, solver):
+        from eegfactor.cpd import _uniform_init
+
+        t, _ = planted_noisy
+        opts = CpdOptions(rank=4, n_starts=4, max_iters=15, seed=3)
+        fits = [
+            solver(t, opts, init=_uniform_init(t.dims, opts.rank, opts.seed, s)).fit
+            for s in range(opts.n_starts)
+        ]
+        res = solver(t, opts)
+        assert len(set(fits)) > 1  # the starts disagree, so the pick matters
+        assert res.fit == max(fits)
+        assert res.start_index == fits.index(max(fits))
+
+
 class TestGaussNewton:
     def test_planted_noiseless_recovery(self, planted_small, tight_opts):
         t, truth = planted_small
@@ -118,13 +143,6 @@ class TestGaussNewton:
         fit_als = cpd_als(t, tight_opts).fit
         fit_gn = cpd_gn(t, tight_opts).fit
         assert abs(fit_als - fit_gn) < 1e-4
-
-    def test_stationary_start_returns_immediately(self, planted_small):
-        t, truth = planted_small
-        res = cpd_gn(t, CpdOptions(rank=3, seed=1), init=truth_init(truth))
-        assert res.converged
-        assert res.iterations == 0
-        assert res.rel_error < 1e-10
 
     def test_noisy_fit_beats_planted_factors(self, planted_noisy):
         t, truth = planted_noisy
