@@ -39,7 +39,7 @@ from .preprocess import (
 )
 from .cpd import CpdOptions, CpdResult, cpd_als, cpd_gn, factor_match_score
 from .rank import RankReport, diffit
-from .projection import ProjectionBasis, build_basis, project, project_matrix
+from .projection import ProjectionBasis, build_basis, project
 from .classify import (
     CohortDataset,
     CVReport,

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from . import __version__
 from .channels import CHANNELS, ELECTRODE_COORDS
 from .classify import TASKS, CohortDataset, cross_validate
 from .cpd import CpdOptions, cpd_als, cpd_gn
-from .edf import read_edf_file, read_manifest, select_channels, write_edf
+from .edf import VALID_LABELS, read_edf_file, read_manifest, select_channels, write_edf
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -38,11 +39,12 @@ from .errors import (
 )
 from .preprocess import (
     FREQ_GRID,
-    EpochSpectrum,
-    PibVector,
+    INVALID_SPECTRUM,
+    PIB_NAMES,
     bandpass,
     build_tensor,
     epoch_and_reject,
+    invalid_spectra,
     pib,
     select_awake_epochs,
     welch,
@@ -50,7 +52,7 @@ from .preprocess import (
 from .projection import build_basis, project
 from .rank import diffit
 from .synth import SynthSpec, make_cohort, make_recording, make_tensor
-from .tensor import atomic_open, load_factors, load_tensor, save_factors, save_tensor
+from .tensor import atomic_open, load_factors, load_tensor, read_text, save_factors, save_tensor
 
 DEFAULT_CONFIG = {
     "paths": {
@@ -193,9 +195,8 @@ def _read_json(path: Path, keys) -> dict:
     naming the file and the field, not a traceback.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        doc = json.loads(read_text(path))
+    except ValueError as exc:
         raise ParseError(f"{path.name} is not valid JSON: {exc}", field="body") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path.name} must hold a JSON object", field="body")
@@ -294,65 +295,75 @@ def _write_provenance(path: Path, rows):
     )
 
 
+def _csv_dict_rows(path: Path, need: set, what: str) -> csv.DictReader:
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        raise ParseError(f"{what} CSV needs columns {sorted(need)}", field="header")
+    return reader
+
+
 def _read_provenance(path: Path) -> list[tuple[str, str, int]]:
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = {"epoch_row", "subject_id", "recording_id", "epoch_index"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ParseError(f"provenance CSV needs columns {sorted(need)}", field="header")
-        for row in reader:
-            try:
-                out.append((row["subject_id"], row["recording_id"], int(row["epoch_index"])))
-            except (TypeError, ValueError):
-                raise ParseError(f"provenance line {reader.line_num}: epoch_index "
-                                 f"{row['epoch_index']!r} is not an integer",
-                                 field="epoch_index") from None
+    reader = _csv_dict_rows(path, {"epoch_row", "subject_id", "recording_id", "epoch_index"},
+                            "provenance")
+    for row in reader:
+        try:
+            out.append((row["subject_id"], row["recording_id"], int(row["epoch_index"])))
+        except (TypeError, ValueError):
+            raise ParseError(f"provenance line {reader.line_num}: epoch_index "
+                             f"{row['epoch_index']!r} is not an integer",
+                             field="epoch_index") from None
     return out
 
 
 def _read_labels(path: Path) -> dict[str, str]:
+    """subject_id -> label; every label is one of VALID_LABELS, and a subject
+    listed twice must carry the same label both times."""
     labels = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"subject_id", "label"}.issubset(reader.fieldnames):
-            raise ParseError("labels CSV needs columns subject_id,label", field="header")
-        for row in reader:
-            labels[row["subject_id"]] = row["label"]
+    reader = _csv_dict_rows(path, {"subject_id", "label"}, "labels")
+    for row in reader:
+        subject, label = row["subject_id"], row["label"]
+        where = f"{path.name} line {reader.line_num}"
+        if label not in VALID_LABELS:
+            raise ParseError(f"{where}: label must be one of {VALID_LABELS}, got {label!r}",
+                             field="label")
+        if labels.setdefault(subject, label) != label:
+            raise ParseError(f"{where}: subject {subject!r} is labelled both "
+                             f"{labels[subject]} and {label}", field="label")
     return labels
 
 
-def _pib_header() -> list[str]:
-    return ["subject_id", "recording_id", "epoch_index"] + PibVector.names()
-
-
-def _write_pib(path: Path, spectra: list[EpochSpectrum]):
-    rows = []
-    for s in spectra:
-        vec = pib(s)
-        rows.append([s.subject_id, s.recording_id, s.index] + [float(v) for v in vec.values])
-    _write_csv(path, _pib_header(), rows)
+def _write_features(path: Path, ids, names, feats: np.ndarray):
+    """One row per epoch: the (subject_id, recording_id, epoch_index) ids,
+    then that epoch's row of ``feats``."""
+    _write_csv(
+        path,
+        ["subject_id", "recording_id", "epoch_index"] + list(names),
+        [list(i) + row for i, row in zip(ids, feats.tolist())],
+    )
 
 
 def _read_feature_csv(path: Path, id_cols: int = 3):
     """Rows of (subject_id, recording_id, epoch_index, feature vector)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:id_cols] != ["subject_id", "recording_id", "epoch_index"]:
-            raise ParseError(
-                f"{path.name} must start with subject_id,recording_id,epoch_index", field="header"
-            )
-        subjects, feats = [], []
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                feats.append([float(v) for v in row[id_cols:]])
-            except ValueError as exc:
-                raise ParseError(f"{path.name} line {reader.line_num}: {exc}",
-                                 field="body") from None
-            subjects.append(row[0])
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or header[:id_cols] != ["subject_id", "recording_id", "epoch_index"]:
+        raise ParseError(
+            f"{path.name} must start with subject_id,recording_id,epoch_index", field="header"
+        )
+    subjects, feats = [], []
+    for row in reader:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            values = [float(v) for v in row[id_cols:]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("features must be finite")
+        except ValueError as exc:
+            raise ParseError(f"{path.name} line {reader.line_num}: {exc}",
+                             field="body") from None
+        feats.append(values)
+        subjects.append(row[0])
     if not feats:
         raise ParseError(f"{path.name} contains no feature rows", field="body")
     return subjects, np.asarray(feats)
@@ -379,8 +390,9 @@ def _preprocess_recording(entry, cfg):
     return [welch(e) for e in epochs]
 
 
-def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
-    entries = read_manifest(manifest_path)
+def _preprocess_entries(entries, cfg):
+    """Stack the spectra of every manifest entry in order, with their
+    provenance; a recording that fails to ingest is skipped with a warning."""
     spectra = []
     for entry in entries:
         try:
@@ -389,12 +401,21 @@ def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
             print(f"warning: skipping {entry.path.name}: {exc}", file=sys.stderr)
     if not spectra:
         raise IngestError("no recording in the manifest survived preprocessing")
-    t, provenance = build_tensor(spectra)
+    return build_tensor(spectra)
+
+
+def _ids(provenance) -> list[tuple[str, str, int]]:
+    return [(r.subject_id, r.recording_id, r.epoch_index) for r in provenance]
+
+
+def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
+    entries = read_manifest(manifest_path)
+    t, provenance = _preprocess_entries(entries, cfg)
     save_tensor(t, workdir / "tensor.bin")
     _write_provenance(workdir / "provenance.csv", provenance)
-    _write_pib(workdir / "pib.csv", spectra)
+    _write_features(workdir / "pib.csv", _ids(provenance), PIB_NAMES, pib(t.data))
     _write_stage_config(workdir, "preprocess", cfg, cfg["cpd"]["seed"])
-    print(f"preprocess: {len(spectra)} epochs from {len(entries)} recordings -> tensor {t.dims}")
+    print(f"preprocess: {t.dims[0]} epochs from {len(entries)} recordings -> tensor {t.dims}")
     return 0
 
 
@@ -493,50 +514,37 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
 def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, provenance_path=None) -> int:
     factors = load_factors(_require(workdir / "factors.json", "decompose"))
     basis = build_basis(factors)
-    spectra: list[EpochSpectrum] = []
     if tensor_path is not None:
         if provenance_path is None:
             raise ConfigError("--tensor requires --provenance")
         t = load_tensor(Path(tensor_path))
-        rows = _read_provenance(Path(provenance_path))
-        if t.dims[0] != len(rows):
+        ids = _read_provenance(Path(provenance_path))
+        if t.dims[0] != len(ids):
             raise IngestError(
-                f"provenance lists {len(rows)} epochs but tensor holds {t.dims[0]}"
+                f"provenance lists {len(ids)} epochs but tensor holds {t.dims[0]}"
             )
-        if t.dims[1:] != basis.grid_shape:
-            raise IngestError(
-                f"tensor grid {t.dims[1:]} does not match basis grid {basis.grid_shape}"
-            )
-        for e, (subject, recording, index) in enumerate(rows):
-            try:
-                spectra.append(EpochSpectrum(
-                    psd=t.data[e], subject_id=subject, recording_id=recording, index=index
-                ))
-            except ArgumentError as exc:
-                raise IngestError(f"tensor row {e} ({recording}, epoch {index}): {exc}") from None
+        if not ids:
+            raise IngestError("no epochs available to project")
+        bad = np.flatnonzero(invalid_spectra(t.data))
+        if bad.size:
+            e = int(bad[0])
+            raise IngestError(f"tensor row {e} ({ids[e][1]}, epoch {ids[e][2]}): "
+                              f"{INVALID_SPECTRUM}")
     elif manifest is not None:
-        for entry in read_manifest(Path(manifest)):
-            try:
-                spectra.extend(_preprocess_recording(entry, cfg))
-            except (IngestError, ParseError) as exc:
-                print(f"warning: skipping {entry.path.name}: {exc}", file=sys.stderr)
+        t, provenance = _preprocess_entries(read_manifest(Path(manifest)), cfg)
+        ids = _ids(provenance)
     else:
         raise ConfigError("project needs --manifest or --tensor/--provenance")
-    if not spectra:
-        raise IngestError("no epochs available to project")
-    weights = [project(basis, s) for s in spectra]
+    grid = (len(CHANNELS), len(FREQ_GRID))
+    if not t.dims[1:] == basis.grid_shape == grid:
+        raise IngestError(f"spectra grid {t.dims[1:]} and basis grid {basis.grid_shape} "
+                          f"must both be {grid}")
     rank = factors.rank
-    _write_csv(
-        workdir / "weights.csv",
-        ["subject_id", "recording_id", "epoch_index"] + [f"w{i + 1}" for i in range(rank)],
-        [
-            [w.subject_id, w.recording_id, w.epoch_index] + [float(v) for v in w.w]
-            for w in weights
-        ],
-    )
-    _write_pib(workdir / "validation_pib.csv", spectra)
+    _write_features(workdir / "weights.csv", ids, [f"w{i + 1}" for i in range(rank)],
+                    project(basis, t.data))
+    _write_features(workdir / "validation_pib.csv", ids, PIB_NAMES, pib(t.data))
     _write_stage_config(workdir, "project", cfg, cfg["cpd"]["seed"])
-    print(f"project: {len(weights)} epochs onto a rank-{rank} basis (rank_used={basis.rank_used})")
+    print(f"project: {len(ids)} epochs onto a rank-{rank} basis (rank_used={basis.rank_used})")
     return 0
 
 
@@ -648,15 +656,8 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
             ["subject_id", "label"],
             sorted(cohort.labels.items()),
         )
-        _write_csv(
-            workdir / "truth_weights.csv",
-            ["subject_id", "recording_id", "epoch_index"]
-            + [f"w{i + 1}" for i in range(spec.rank)],
-            [
-                [s.subject_id, s.recording_id, s.index] + [float(v) for v in wrow]
-                for s, wrow in zip(cohort.spectra, cohort.weights)
-            ],
-        )
+        _write_features(workdir / "truth_weights.csv", _ids(cprov),
+                        [f"w{i + 1}" for i in range(spec.rank)], cohort.weights)
         print(
             f"synth: population tensor {t.dims} + cohort of "
             f"{len(cohort.spectra)} epochs ({sum(per_class.values())} subjects)"

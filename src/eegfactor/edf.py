@@ -8,6 +8,7 @@ EDF+D files are rejected.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from .channels import CHANNELS
 from .errors import ArgumentError, IngestError, ParseError
+from .tensor import read_text
 
 ANNOTATION_LABEL = "EDF Annotations"
 DIGITAL_MIN = -32768
@@ -374,25 +376,24 @@ def read_manifest(path) -> list[ManifestEntry]:
     """Cohort manifest CSV with columns path,subject_id,label."""
     path = Path(path)
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"path", "subject_id", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    required = {"path", "subject_id", "label"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ParseError(
+            f"manifest must have columns path,subject_id,label, got {reader.fieldnames}",
+            field="header",
+        )
+    for lineno, row in enumerate(reader, start=2):
+        label = (row["label"] or "").strip() or None
+        if label is not None and label not in VALID_LABELS:
             raise ParseError(
-                f"manifest must have columns path,subject_id,label, got {reader.fieldnames}",
-                field="header",
+                f"label must be one of {VALID_LABELS} or empty, got {label!r}",
+                field=f"label (line {lineno})",
             )
-        for lineno, row in enumerate(reader, start=2):
-            label = (row["label"] or "").strip() or None
-            if label is not None and label not in VALID_LABELS:
-                raise ParseError(
-                    f"label must be one of {VALID_LABELS} or empty, got {label!r}",
-                    field=f"label (line {lineno})",
-                )
-            entry_path = Path(row["path"])
-            if not entry_path.is_absolute():
-                entry_path = path.parent / entry_path
-            entries.append(ManifestEntry(entry_path, row["subject_id"].strip(), label))
+        entry_path = Path(row["path"])
+        if not entry_path.is_absolute():
+            entry_path = path.parent / entry_path
+        entries.append(ManifestEntry(entry_path, row["subject_id"].strip(), label))
     if not entries:
         raise ParseError("manifest contains no rows", field="body")
     return entries

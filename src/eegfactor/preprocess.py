@@ -3,7 +3,8 @@
 The chain per recording: zero-phase band-pass, contiguous 10-s epoching with
 high-power Cz rejection, awake-epoch selection by posterior alpha, Welch power
 spectral densities on a fixed 1.0-45.0 Hz grid, and stacking into the
-population tensor.  Power-in-bands (PIB) baseline features live here too.
+population tensor.  Power-in-bands (PIB) baseline features live here too;
+``pib`` takes one (19, 89) spectrum or a stack of them, as the tensor holds.
 
 ``scipy.signal`` is imported inside ``bandpass`` and ``welch``, the two
 functions that use it.  Every CLI stage is a fresh interpreter, and importing
@@ -50,6 +51,9 @@ _BAND_WEIGHTS = np.column_stack(
 _BAND_WEIGHTS.flags.writeable = False
 _TOTAL, _ALPHA = len(BANDS), len(BANDS) + 1
 
+# PIB columns, channel-major: 19 channels x 5 bands = 95
+PIB_NAMES = tuple(f"{ch}_{band}" for ch in CHANNELS for band, _, _ in BANDS)
+
 
 @dataclass(frozen=True)
 class Epoch:
@@ -69,6 +73,15 @@ class Epoch:
         object.__setattr__(self, "samples", arr)
 
 
+INVALID_SPECTRUM = "psd must be finite and nonnegative"
+
+
+def invalid_spectra(psd: np.ndarray) -> np.ndarray:
+    """True for each (S, F) spectrum of a (..., S, F) array that holds a
+    negative or non-finite value."""
+    return ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class EpochSpectrum:
     """Per-channel PSD on the fixed grid, with provenance."""
@@ -84,28 +97,10 @@ class EpochSpectrum:
             raise ArgumentError(
                 f"psd must have shape {(len(CHANNELS), len(FREQ_GRID))}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ArgumentError("psd must be finite and nonnegative")
+        if invalid_spectra(arr):
+            raise ArgumentError(INVALID_SPECTRUM)
         arr.flags.writeable = False
         object.__setattr__(self, "psd", arr)
-
-
-@dataclass(frozen=True)
-class PibVector:
-    """Relative band powers, channel-major: 19 channels x 5 bands = 95."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C")
-        if arr.shape != (len(CHANNELS) * len(BANDS),):
-            raise ArgumentError(f"expected {len(CHANNELS) * len(BANDS)} values, got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def names() -> list[str]:
-        return [f"{ch}_{band}" for ch in CHANNELS for band, _, _ in BANDS]
 
 
 def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) -> Recording:
@@ -250,14 +245,22 @@ def build_tensor(spectra: list[EpochSpectrum]) -> tuple[Tensor3, list[Provenance
     return Tensor3(data), provenance
 
 
-def pib(x: EpochSpectrum) -> PibVector:
-    """Relative power in the five canonical bands, per channel.
+def pib(psd) -> np.ndarray:
+    """Relative power in the five canonical bands, per channel, of each
+    (19, 89) spectrum in a (..., 19, 89) array; the result has shape (..., 95),
+    channel-major in the order of ``PIB_NAMES``.
 
     Band integrals are trapezoids on the grid; shared band edges contribute
     half to each side so the five shares of a channel sum to exactly 1.
     """
-    power = x.psd @ _BAND_WEIGHTS
-    total = power[:, _TOTAL]
+    psd = np.asarray(psd, dtype=np.float64)
+    if psd.shape[-2:] != (len(CHANNELS), len(FREQ_GRID)):
+        raise ArgumentError(f"psd must end in shape {(len(CHANNELS), len(FREQ_GRID))}, "
+                            f"got {psd.shape}")
+    power = psd @ _BAND_WEIGHTS
+    total = power[..., _TOTAL]
     if np.any(total <= 0.0):
-        raise IngestError(f"zero total power in channel {CHANNELS[np.argmax(total <= 0.0)]}")
-    return PibVector((power[:, : len(BANDS)] / total[:, None]).ravel())
+        ch = np.argwhere(total <= 0.0)[0, -1]
+        raise IngestError(f"zero total power in channel {CHANNELS[ch]}")
+    shares = power[..., : len(BANDS)] / total[..., None]
+    return shares.reshape(psd.shape[:-2] + (len(PIB_NAMES),))

@@ -1,19 +1,17 @@
 """Projection of epoch spectra onto the population spatiospectral basis.
 
 The basis matrix stacks vec(spatial_i x spectral_i) columns in the same
-row-major (sensor-major) order as EpochSpectrum, so w = pinv(B) @ vec(x) are
-least-squares coordinates.  Weights of training epochs include the component
-scales (w = scale * epoch-factor row on noiseless data).
+row-major (sensor-major) order as a (S, F) spectrum, so w = pinv(B) @ vec(x)
+are least-squares coordinates.  Weights of training epochs include the
+component scales (w = scale * epoch-factor row on noiseless data).
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
-from .preprocess import EpochSpectrum
 from .tensor import FactorSet
 
 
@@ -22,35 +20,11 @@ class ProjectionBasis:
     matrix: np.ndarray  # (S*F, r)
     pinv: np.ndarray  # (r, S*F)
     rank_used: int
-    source: str  # fingerprint of the originating FactorSet
     grid_shape: tuple[int, int]
 
     @property
     def deficient(self) -> bool:
         return self.rank_used < self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    w: np.ndarray
-    subject_id: str = ""
-    recording_id: str = ""
-    epoch_index: int = 0
-
-    def __post_init__(self):
-        arr = np.array(self.w, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise ArgumentError("weight vector entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "w", arr)
-
-
-def _fingerprint(fs: FactorSet) -> str:
-    h = hashlib.sha256()
-    h.update(np.asarray([fs.rank], dtype="<i8").tobytes())
-    for arr in (fs.weights, fs.A, fs.B, fs.C):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
 
 
 def build_basis(fs: FactorSet) -> ProjectionBasis:
@@ -70,33 +44,19 @@ def build_basis(fs: FactorSet) -> ProjectionBasis:
     keep = sigma > cutoff
     rank_used = int(np.count_nonzero(keep))
     inv = vt[keep].T @ np.diag(1.0 / sigma[keep]) @ u[:, keep].T
-    return ProjectionBasis(
-        matrix=matrix,
-        pinv=inv,
-        rank_used=rank_used,
-        source=_fingerprint(fs),
-        grid_shape=(S, F),
-    )
+    return ProjectionBasis(matrix=matrix, pinv=inv, rank_used=rank_used, grid_shape=(S, F))
 
 
-def project(basis: ProjectionBasis, x: EpochSpectrum) -> WeightVector:
-    """Least-squares coordinates w = pinv(B) @ vec(x)."""
-    S, F = basis.grid_shape
-    if x.psd.shape != (S, F):
-        raise ArgumentError(f"spectrum shape {x.psd.shape} does not match basis grid {(S, F)}")
-    w = basis.pinv @ x.psd.reshape(S * F)
-    return WeightVector(
-        w=w,
-        subject_id=x.subject_id,
-        recording_id=x.recording_id,
-        epoch_index=x.index,
-    )
+def project(basis: ProjectionBasis, psd) -> np.ndarray:
+    """Least-squares coordinates w = pinv(B) @ vec(x) of each (S, F) spectrum
+    in a (..., S, F) array; the result has shape (..., r).
 
-
-def project_matrix(basis: ProjectionBasis, psd: np.ndarray) -> np.ndarray:
-    """Project a raw (S, F) array; convenience for tensor slices."""
+    The stack is projected as a stack of matrix-vector products, so every row
+    is bit-identical to projecting that spectrum alone; one ``X @ pinv.T``
+    GEMM differs from it in the last bits.
+    """
     S, F = basis.grid_shape
     psd = np.asarray(psd, dtype=np.float64)
-    if psd.shape != (S, F):
-        raise ArgumentError(f"array shape {psd.shape} does not match basis grid {(S, F)}")
-    return basis.pinv @ psd.reshape(S * F)
+    if psd.shape[-2:] != (S, F):
+        raise ArgumentError(f"spectrum shape {psd.shape} does not match basis grid {(S, F)}")
+    return np.matmul(basis.pinv, psd.reshape(psd.shape[:-2] + (S * F, 1)))[..., 0]

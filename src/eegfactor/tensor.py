@@ -15,6 +15,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -220,6 +221,17 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
+def read_text(path) -> str:
+    """The whole file decoded as UTF-8; bytes that do not decode are a
+    ParseError naming the file and the byte offset, not a traceback."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{Path(path).name} is not UTF-8 text", field="encoding",
+                         offset=exc.start) from None
+
+
 def save_tensor(t: Tensor3, path):
     """Write the flat binary format: 3 LE uint64 dims then row-major LE float64."""
     E, S, F = t.dims
@@ -268,11 +280,10 @@ def save_factors(fs: FactorSet, path):
 
 
 def load_factors(path) -> FactorSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"factor file is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"factor file is not valid JSON: {exc}") from exc
     try:
         rank = int(doc["rank"])
         fields = {k: np.asarray(doc[k], dtype=np.float64) for k in ("A", "B", "C", "lambda")}

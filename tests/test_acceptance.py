@@ -28,7 +28,6 @@ from eegfactor import (
     make_tensor,
     pib,
     project,
-    project_matrix,
     read_edf,
     welch,
     write_edf,
@@ -137,7 +136,7 @@ def test_criterion_05_projection_identity(planted_200):
     target = truth.A * truth.weights
     worst = 0.0
     for e in range(t.dims[0]):
-        w = project_matrix(basis, t.data[e])
+        w = project(basis, t.data[e])
         worst = max(worst, float(np.abs(w - target[e]).max()))
     report(5, worst <= 1e-6, f"max |w - lambda*A_row| = {worst:.2e} over {t.dims[0]} rows")
 
@@ -214,8 +213,8 @@ def test_criterion_08_table_analogue():
     res = cpd_gn(t, CpdOptions(rank=3, n_starts=3, tol=1e-12, max_iters=200, seed=1))
     basis = build_basis(res.factors)
     cohort = make_cohort(spec, {"CN": 24, "MCI": 31, "AD": 50}, epochs_per_subject=4)
-    td = np.array([project(basis, s).w for s in cohort.spectra])
-    pib_feats = np.array([pib(s).values for s in cohort.spectra])
+    td = np.array([project(basis, s.psd) for s in cohort.spectra])
+    pib_feats = np.array([pib(s.psd) for s in cohort.spectra])
     subjects = tuple(s.subject_id for s in cohort.spectra)
     labels = tuple(cohort.labels[s.subject_id] for s in cohort.spectra)
     ds_td = CohortDataset(td, subjects, labels)
@@ -276,9 +275,9 @@ def test_criterion_09_signal_chain():
     peak = float(FREQ_GRID[np.argmax(spectrum.psd[0])])
     band = (FREQ_GRID >= 9.0) & (FREQ_GRID <= 11.0)
     integrated = float(np.trapezoid(spectrum.psd[0][band], FREQ_GRID[band]))
-    vec = pib(spectrum)
-    alpha_share = float(vec.values[2])  # channel 0, alpha band
-    sums = vec.values.reshape(19, 5).sum(axis=1)
+    vec = pib(spectrum.psd)
+    alpha_share = float(vec[2])  # channel 0, alpha band
+    sums = vec.reshape(19, 5).sum(axis=1)
     ok = (
         abs(gain_db) < 1.0
         and atten_db >= 40.0
@@ -286,14 +285,14 @@ def test_criterion_09_signal_chain():
         and abs(integrated - 0.5) <= 0.05
         and alpha_share > 0.9
         and np.all(np.abs(sums - 1.0) <= 1e-9)
-        and vec.values.shape == (95,)
+        and vec.shape == (95,)
     )
     report(
         9,
         ok,
         f"10Hz gain {gain_db:+.2f} dB, 60Hz atten {atten_db:.1f} dB, peak {peak} Hz, "
         f"9-11Hz power {integrated:.3f} (target 0.5), alpha share {alpha_share:.3f}, "
-        f"sums within {np.abs(sums - 1.0).max():.1e}, dim {vec.values.size}",
+        f"sums within {np.abs(sums - 1.0).max():.1e}, dim {vec.size}",
     )
 
 

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eegfactor import Tensor3, load_tensor, save_tensor
-from eegfactor.cli import main
+from eegfactor import ParseError, Tensor3, load_factors, load_tensor, read_manifest, save_tensor
+from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, main
 
 CONFIG = """\
 preprocess:
@@ -92,6 +93,8 @@ class TestPipeline:
         weights = read_csv(wd / "weights.csv")
         assert weights[0] == ["subject_id", "recording_id", "epoch_index", "w1", "w2", "w3"]
         assert len(weights) == 1 + 17 * 3
+        provenance = read_csv(wd / "cohort_provenance.csv")
+        assert [r[:3] for r in weights[1:]] == [r[1:] for r in provenance[1:]]
         pib_rows = read_csv(wd / "validation_pib.csv")
         assert len(pib_rows[0]) == 3 + 95
 
@@ -239,7 +242,8 @@ class TestErrors:
     @pytest.mark.parametrize("name,row", [
         ("weights.csv", "s1,r1,0,0.5,oops,0.1"),
         ("validation_pib.csv", "s1,r1,0,0.5"),
-    ], ids=["non-numeric", "ragged"])
+        ("validation_pib.csv", "s1,r1,0,0.5,inf,nan"),
+    ], ids=["non-numeric", "ragged", "non-finite"])
     def test_malformed_feature_row(self, workdir, capsys, name, row):
         wd, cfg = workdir
         wd.mkdir(parents=True)
@@ -249,6 +253,39 @@ class TestErrors:
         code = run("--config", str(cfg), "--workdir", str(wd), "classify")
         assert code == 2
         assert f"{name} line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,line", [
+        ("subject_id,label\ns0,CN\ns1,XX\n", 3),
+        ("subject_id,label\ns0,CN\ns1,\n", 3),
+        ("subject_id,label\ns0,CN\ns1,AD\ns1,AD\ns0,AD\n", 5),
+    ], ids=["unknown-label", "empty-label", "two-labels"])
+    def test_bad_labels_name_line(self, workdir, capsys, text, line):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "labels.csv").write_text(text)
+        (wd / "weights.csv").write_text("subject_id,recording_id,epoch_index,w1\n"
+                                        "s0,r0,0,0.1\ns1,r1,0,0.2\n")
+        assert run("--config", str(cfg), "--workdir", str(wd), "classify") == 2
+        assert f"labels.csv line {line}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,argv", [
+        ("val.csv", ("project", "--manifest", "{wd}/val.csv")),
+        ("labels.csv", ("classify",)),
+        ("prov.csv", ("project", "--tensor", "{wd}/tensor.bin", "--provenance", "{wd}/prov.csv")),
+        ("factors.json", ("project", "--tensor", "{wd}/tensor.bin",
+                          "--provenance", "{wd}/prov.csv")),
+    ], ids=["manifest", "labels", "provenance", "factors"])
+    def test_non_utf8_file_names_file(self, factor_workdir, capsys, name, argv):
+        wd, cfg = factor_workdir
+        (wd / "val.csv").write_text("path,subject_id,label\nrec.edf,S0,CN\n")
+        (wd / "labels.csv").write_text("subject_id,label\nS0,CN\n")
+        (wd / "weights.csv").write_text("subject_id,recording_id,epoch_index,w1\nS0,r0,0,0.1\n")
+        path = wd / name
+        path.write_bytes(path.read_bytes()[:12] + b"\xff\xfe" + path.read_bytes()[12:])
+        argv = [a.format(wd=wd) for a in argv]
+        assert run("--config", str(cfg), "--workdir", str(wd), *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name} is not UTF-8 text" in err and "byte offset: 12" in err
 
     def test_negative_spectrum_names_row(self, factor_workdir, capsys):
         wd, cfg = factor_workdir
@@ -288,6 +325,47 @@ class TestErrors:
         err = capsys.readouterr().err
         assert name in err
         assert f"field: {field}" in err
+
+
+class TestLoaderFuzz:
+    VALID = {
+        "manifest": b"path,subject_id,label\nrec_000.edf,S000,CN\nrec_001.edf,S001,\n",
+        "factors": json.dumps({"rank": 1, "lambda": [2.0], "A": [[1.0], [0.5]],
+                               "B": [[0.6], [0.8]], "C": [[1.0]]}).encode(),
+        "provenance": b"epoch_row,subject_id,recording_id,epoch_index\n0,S0,S0_r0,3\n",
+        "labels": b"subject_id,label\nS0,CN\nS1,AD\n",
+        "features": b"subject_id,recording_id,epoch_index,w1,w2\nS0,r0,0,0.5,1e-3\n",
+    }
+    LOADERS = {
+        "manifest": read_manifest,
+        "factors": load_factors,
+        "provenance": lambda p: _read_provenance(Path(p)),
+        "labels": lambda p: _read_labels(Path(p)),
+        "features": lambda p: _read_feature_csv(Path(p)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_loader_is_total_on_fuzz(self, tmp_path, kind):
+        # any byte stream must load or give a ParseError, never a crash
+        rng = np.random.default_rng(8)
+        base = self.VALID[kind]
+        path = tmp_path / "input"
+        path.write_bytes(base)
+        self.LOADERS[kind](path)  # the unmutated file loads
+        for trial in range(60):
+            if trial % 3 == 0:
+                blob = bytes(rng.integers(0, 256, size=int(rng.integers(0, 200)), dtype=np.uint8))
+            else:
+                mutated = bytearray(base)
+                for _ in range(int(rng.integers(1, 6))):
+                    pos = int(rng.integers(0, len(mutated)))
+                    mutated[pos : pos + 1] = bytes([int(rng.integers(0, 256))])
+                blob = bytes(mutated)
+            path.write_bytes(blob)
+            try:
+                self.LOADERS[kind](path)
+            except ParseError:
+                pass
 
 
 class TestImportCost:

@@ -3,12 +3,11 @@ import pytest
 
 from eegfactor import (
     ArgumentError,
-    EpochSpectrum,
     FactorSet,
     build_basis,
     make_tensor,
+    pib,
     project,
-    project_matrix,
     SynthSpec,
 )
 from eegfactor.preprocess import FREQ_GRID
@@ -21,10 +20,6 @@ def unit_vec(n, idx=0):
     v = np.zeros(n)
     v[idx] = 1.0
     return v
-
-
-def spectrum_from(x, subject="s0", recording="r0", index=0):
-    return EpochSpectrum(psd=x, subject_id=subject, recording_id=recording, index=index)
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +80,14 @@ class TestProject:
         _, truth, basis = planted_basis
         c = np.array([0.7, -1.2, 2.5])
         x = np.einsum("r,sr,fr->sf", c, truth.B, truth.C)
-        w = project_matrix(basis, x)
+        w = project(basis, x)
         np.testing.assert_allclose(w, c, atol=1e-8)
 
     def test_training_rows_give_scaled_epoch_factors(self, planted_basis):
         t, truth, basis = planted_basis
         target = truth.A * truth.weights
         for e in range(t.dims[0]):
-            w = project_matrix(basis, t.data[e])
+            w = project(basis, t.data[e])
             np.testing.assert_allclose(w, target[e], atol=1e-6)
 
     def test_orthogonal_input_projects_to_zero(self):
@@ -106,7 +101,7 @@ class TestProject:
         basis = build_basis(fs)
         x = np.zeros((S, F))
         x[3, 5] = 4.0  # support disjoint from the basis column
-        w = project_matrix(basis, x)
+        w = project(basis, x)
         np.testing.assert_allclose(w, 0.0, atol=1e-14)
 
     def test_linearity(self, planted_basis):
@@ -114,15 +109,15 @@ class TestProject:
         rng = np.random.default_rng(5)
         x, y = rng.uniform(0, 1, (S, F)), rng.uniform(0, 1, (S, F))
         a, b = 1.7, -0.4
-        lhs = project_matrix(basis, a * x + b * y)
-        rhs = a * project_matrix(basis, x) + b * project_matrix(basis, y)
+        lhs = project(basis, a * x + b * y)
+        rhs = a * project(basis, x) + b * project(basis, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_residual_orthogonality(self, planted_basis):
         _, _, basis = planted_basis
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, (S, F))
-        w = project_matrix(basis, x)
+        w = project(basis, x)
         residual = x.reshape(-1) - basis.matrix @ w
         np.testing.assert_allclose(
             basis.matrix.T @ residual, 0.0, atol=1e-8 * np.linalg.norm(x)
@@ -132,17 +127,20 @@ class TestProject:
         _, _, basis = planted_basis
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, (S, F))
-        w = project_matrix(basis, x)
-        again = project_matrix(basis, (basis.matrix @ w).reshape(S, F))
+        w = project(basis, x)
+        again = project(basis, (basis.matrix @ w).reshape(S, F))
         np.testing.assert_allclose(again, w, atol=1e-10)
 
-    def test_provenance_carried(self, planted_basis):
-        _, _, basis = planted_basis
-        spec = spectrum_from(np.full((S, F), 0.5), subject="subj9", recording="rec3", index=7)
-        w = project(basis, spec)
-        assert (w.subject_id, w.recording_id, w.epoch_index) == ("subj9", "rec3", 7)
+    def test_stack_equals_per_row_calls(self, planted_basis):
+        # the CLI projects and integrates whole stacks; each row must be
+        # bit-identical to the single-epoch call so its CSVs do not change
+        t, _, basis = planted_basis
+        for stack in (t.data, t.data[:3], t.data[:1]):
+            assert project(basis, stack).shape == (len(stack), 3)
+            assert np.array_equal(project(basis, stack), [project(basis, x) for x in stack])
+            assert np.array_equal(pib(stack), [pib(x) for x in stack])
 
     def test_dimension_mismatch(self, planted_basis):
         _, _, basis = planted_basis
         with pytest.raises(ArgumentError):
-            project_matrix(basis, np.zeros((S, F - 1)))
+            project(basis, np.zeros((S, F - 1)))

@@ -94,7 +94,7 @@ class TestMakeCohort:
         cohort = make_cohort(self.spec(), {"CN": 3, "AD": 3}, epochs_per_subject=3)
         basis = build_basis(cohort.truth)
         for s, w_true in zip(cohort.spectra, cohort.weights):
-            w = project(basis, s).w
+            w = project(basis, s.psd)
             np.testing.assert_allclose(w, w_true, atol=1e-6)
 
     def test_seeded_determinism(self):
