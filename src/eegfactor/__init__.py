@@ -13,16 +13,12 @@ from .errors import (
 from .tensor import (
     FactorSet,
     Tensor3,
-    khatri_rao,
     load_factors,
     load_tensor,
     mttkrp,
-    reconstruct,
-    refold,
     relative_error,
     save_factors,
     save_tensor,
-    unfold,
 )
 from .edf import Recording, read_edf, read_edf_file, read_manifest, select_channels, write_edf
 from .preprocess import (

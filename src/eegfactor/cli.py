@@ -284,6 +284,14 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
+def _flag_file(value, flag: str) -> Path:
+    """The input file a command-line flag names, which must exist."""
+    path = Path(value)
+    if not path.is_file():
+        raise IngestError(f"{flag} names no file: {path}")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # provenance / label tables
 
@@ -409,7 +417,7 @@ def _ids(provenance) -> list[tuple[str, str, int]]:
 
 
 def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
-    entries = read_manifest(manifest_path)
+    entries = read_manifest(_flag_file(manifest_path, "--manifest"))
     t, provenance = _preprocess_entries(entries, cfg)
     save_tensor(t, workdir / "tensor.bin")
     _write_provenance(workdir / "provenance.csv", provenance)
@@ -517,8 +525,8 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
     if tensor_path is not None:
         if provenance_path is None:
             raise ConfigError("--tensor requires --provenance")
-        t = load_tensor(Path(tensor_path))
-        ids = _read_provenance(Path(provenance_path))
+        t = load_tensor(_flag_file(tensor_path, "--tensor"))
+        ids = _read_provenance(_flag_file(provenance_path, "--provenance"))
         if t.dims[0] != len(ids):
             raise IngestError(
                 f"provenance lists {len(ids)} epochs but tensor holds {t.dims[0]}"
@@ -531,7 +539,8 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
             raise IngestError(f"tensor row {e} ({ids[e][1]}, epoch {ids[e][2]}): "
                               f"{INVALID_SPECTRUM}")
     elif manifest is not None:
-        t, provenance = _preprocess_entries(read_manifest(Path(manifest)), cfg)
+        entries = read_manifest(_flag_file(manifest, "--manifest"))
+        t, provenance = _preprocess_entries(entries, cfg)
         ids = _ids(provenance)
     else:
         raise ConfigError("project needs --manifest or --tensor/--provenance")

@@ -13,11 +13,12 @@ GN takes the exact damped step, solving the normal equations through a
 (``_gn_step``); neither the Jacobian over all tensor entries nor the
 r(E+S+F)-square normal matrix is ever materialized.
 
-The scipy routines (``cho_factor``/``cho_solve`` in ALS and
-``linear_sum_assignment``) are imported inside the functions that call them;
-the Gauss-Newton path uses numpy alone.  Every CLI stage is a fresh
-interpreter, and a module-level import would charge the stages that never
-call them for loading ``scipy.linalg`` and ``scipy.optimize``.
+Both solvers work on raw ``(A, B, C)`` arrays and numpy alone; their
+MTTKRPs are calls to ``mttkrp`` (one shared partial product per ALS sweep
+and per GN step, see ``tensor.mttkrp``).  Only ``factor_match_score``
+imports scipy (``linear_sum_assignment``), inside the function: every CLI
+stage is a fresh interpreter, and a module-level import would charge the
+``diffit`` and ``decompose`` stages for loading ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .tensor import FactorSet, Tensor3, mttkrp, relative_error
+from .tensor import FactorSet, Tensor3, mttkrp, partial_product, relative_error
 
 _GRAM_RIDGE = 1e-10
 _MU_INIT = 1e-2
@@ -102,27 +103,43 @@ def _gram_error(t: Tensor3, normX: float, A, B, C, MC):
 
 
 def _rebalance(A, B, C):
-    """Equalize per-component column norms; reconstruction is unchanged."""
-    for j in range(A.shape[1]):
-        na, nb, nc = (np.linalg.norm(M[:, j]) for M in (A, B, C))
-        scale = na * nb * nc
-        if scale == 0.0:
-            continue
-        target = scale ** (1.0 / 3.0)
-        A[:, j] *= target / na
-        B[:, j] *= target / nb
-        C[:, j] *= target / nc
+    """Equalize per-component column norms in place; reconstruction is
+    unchanged.  A component with a zero column in any factor is left as is."""
+    norms = [np.linalg.norm(M, axis=0) for M in (A, B, C)]
+    scale = norms[0] * norms[1] * norms[2]
+    live = scale > 0.0
+    target = scale ** (1.0 / 3.0)
+    for M, n in zip((A, B, C), norms):
+        M *= np.divide(target, n, out=np.ones_like(n), where=live)
     return A, B, C
+
+
+def _gram_solve(M, P, Q):
+    """M G^-1 for the ALS Gramian G = (P^T P) * (Q^T Q), by Cholesky.
+
+    A G whose factorization fails gets a small ridge relative to its scale,
+    so a large singular G is ridged too.  Returns the solution and whether
+    the ridge was needed.
+    """
+    G = (P.T @ P) * (Q.T @ Q)
+    try:
+        L, ridged = np.linalg.cholesky(G), False
+    except np.linalg.LinAlgError:
+        ridge = _GRAM_RIDGE * max(1.0, G.diagonal().max())
+        L, ridged = np.linalg.cholesky(G + ridge * np.eye(len(G))), True
+    Linv = np.linalg.inv(L)
+    return M @ (Linv.T @ Linv), ridged
 
 
 def _best_of_starts(t: Tensor3, opts: CpdOptions, init, updates) -> CpdResult:
     """Fit every start with one solver's ``updates`` and keep the best.
 
-    ``updates(t, normX, factors, MC, Z, err)`` receives a scored start (the
-    factors, their mode-2 MTTKRP, Gramians and relative error) and yields
-    ``(factors, err, gram_regularized)`` once per iteration.  Returning
-    instead ends the start with a verdict: True when the solver stalled at
-    the accuracy limit, False when it could not descend.
+    ``updates(t, normX, factors, T, MC, Z, err)`` receives a scored start
+    (the factors, their partial product T and mode-2 MTTKRP, Gramians and
+    relative error) and yields ``(factors, err, gram_regularized)`` once per
+    iteration.  Returning instead ends the start with a verdict: True when
+    the solver stalled at the accuracy limit, False when it could not
+    descend.
     """
     _validate_problem(t, opts.rank)
     rank, normX = opts.rank, t.norm()
@@ -133,13 +150,18 @@ def _best_of_starts(t: Tensor3, opts: CpdOptions, init, updates) -> CpdResult:
     best = None
     for start, start_factors in enumerate(starts):
         X = tuple(np.array(M, dtype=np.float64) for M in start_factors)
-        MC = mttkrp(t, FactorSet(rank, *X, np.ones(rank)), 2)
+        shapes = tuple(M.shape for M in X)
+        if shapes != tuple((d, rank) for d in t.dims):
+            raise ArgumentError(f"start factor shapes {shapes} do not match dims {t.dims} "
+                                f"at rank {rank}")
+        T = partial_product(t, X[0])
+        MC = mttkrp(t, X, 2, T)
         err, Z = _gram_error(t, normX, *X, MC)
         fit = 1.0 - err * err
         trace = [err]
         converged = err < _EXACT_ERROR
         regularized = False
-        steps = updates(t, normX, X, MC, Z, err)
+        steps = updates(t, normX, X, T, MC, Z, err)
         while not converged and len(trace) <= opts.max_iters:
             try:
                 X, err, regularized = next(steps)
@@ -170,31 +192,24 @@ def _best_of_starts(t: Tensor3, opts: CpdOptions, init, updates) -> CpdResult:
 # ---------------------------------------------------------------------------
 # ALS
 
-def _als_sweeps(t: Tensor3, normX: float, X, MC, Z, err):
-    """ALS sweeps from the start X; the start's MC, Z and err are not needed."""
-    from scipy.linalg import cho_factor, cho_solve
+def _als_sweeps(t: Tensor3, normX: float, X, T, MC, Z, err):
+    """ALS sweeps from the start X; only the start's factors are needed.
 
-    factors = list(X)
-    rank = factors[0].shape[1]
-    ones = np.ones(rank)
+    The partial product T of the updated A serves the B and the C update.
+    """
+    A, B, C = X
     regularized = False
     while True:
-        for mode in (0, 1, 2):
-            P, Q = (factors[m] for m in (0, 1, 2) if m != mode)
-            G = (P.T @ P) * (Q.T @ Q)
-            M = mttkrp(t, FactorSet(rank, *factors, ones), mode)
-            try:
-                factor = cho_factor(G, check_finite=False)
-            except np.linalg.LinAlgError:
-                # relative to the Gramian's scale, so a large singular G is ridged too
-                ridge = _GRAM_RIDGE * max(1.0, G.diagonal().max())
-                factor = cho_factor(G + ridge * np.eye(rank), check_finite=False)
-                regularized = True
-            factors[mode] = cho_solve(factor, M.T, check_finite=False).T
-        # M is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
-        err, _ = _gram_error(t, normX, *factors, M)
-        _rebalance(*factors)
-        yield tuple(factors), err, regularized
+        A, ridged_a = _gram_solve(mttkrp(t, (A, B, C), 0), B, C)
+        T = partial_product(t, A)
+        B, ridged_b = _gram_solve(mttkrp(t, (A, B, C), 1, T), A, C)
+        MC = mttkrp(t, (A, B, C), 2, T)
+        C, ridged_c = _gram_solve(MC, A, B)
+        regularized = regularized or ridged_a or ridged_b or ridged_c
+        # MC is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
+        err, _ = _gram_error(t, normX, A, B, C, MC)
+        _rebalance(A, B, C)
+        yield (A, B, C), err, regularized
 
 
 def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -265,23 +280,21 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     return tuple(dn + en for dn, en in zip(d, solve(res)))
 
 
-def _gn_steps(t: Tensor3, normX: float, X, MC, Z, err):
+def _gn_steps(t: Tensor3, normX: float, X, T, MC, Z, err):
     """Accepted damped Gauss-Newton steps from the scored start X.
 
     MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient
-    term.  A rejected trial raises the damping tenfold; once it passes
-    ``_MU_MAX`` the start ends, converged when no trial did worse than the
-    iterate beyond roundoff.
+    term, and the partial product T behind it gives the mode-1 term.  A
+    rejected trial raises the damping tenfold; once it passes ``_MU_MAX``
+    the start ends, converged when no trial did worse than the iterate
+    beyond roundoff.
     """
     A, B, C = X
     ZA, ZB, ZC = Z
-    rank = A.shape[1]
-    ones = np.ones(rank)
     mu = _MU_INIT
     while True:
-        fs_ones = FactorSet(rank, A, B, C, ones)
-        gA = A @ (ZB * ZC) - mttkrp(t, fs_ones, 0)
-        gB = B @ (ZA * ZC) - mttkrp(t, fs_ones, 1)
+        gA = A @ (ZB * ZC) - mttkrp(t, (A, B, C), 0)
+        gB = B @ (ZA * ZC) - mttkrp(t, (A, B, C), 1, T)
         gC = C @ (ZA * ZB) - MC
         best_trial = np.inf
         while mu <= _MU_MAX:
@@ -291,11 +304,12 @@ def _gn_steps(t: Tensor3, normX: float, X, MC, Z, err):
                 mu *= 10.0
                 continue
             A2, B2, C2 = A + dA, B + dB, C + dC
-            MC2 = mttkrp(t, FactorSet(rank, A2, B2, C2, ones), 2)
+            T2 = partial_product(t, A2)
+            MC2 = mttkrp(t, (A2, B2, C2), 2, T2)
             err2, Z2 = _gram_error(t, normX, A2, B2, C2, MC2)
             best_trial = min(best_trial, err2)
             if err2 <= err:
-                A, B, C, MC, err = A2, B2, C2, MC2, err2
+                A, B, C, T, MC, err = A2, B2, C2, T2, MC2, err2
                 ZA, ZB, ZC = Z2
                 mu = max(mu / 10.0, _MU_MIN)
                 break

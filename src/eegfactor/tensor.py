@@ -49,8 +49,12 @@ class Tensor3:
         return self.data.shape
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.data))
+        """Frobenius norm, computed on the first call: the data cannot change."""
+        nrm = self.__dict__.get("_norm")
+        if nrm is None:
+            nrm = float(np.linalg.norm(self.data))
+            object.__setattr__(self, "_norm", nrm)
+        return nrm
 
 
 @dataclass(frozen=True)
@@ -117,73 +121,57 @@ class FactorSet:
         return FactorSet(self.rank, A[:, order], B[:, order], C[:, order], w[order])
 
 
-def unfold(t: Tensor3, mode: int) -> np.ndarray:
-    """Mode-n matricization of ``t`` (see module docstring for column order)."""
-    if mode not in _MODES:
-        raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
-    E, S, F = t.dims
-    if mode == 0:
-        return t.data.reshape(E, S * F)
-    if mode == 1:
-        return np.ascontiguousarray(t.data.transpose(1, 0, 2)).reshape(S, E * F)
-    return np.ascontiguousarray(t.data.transpose(2, 0, 1)).reshape(F, E * S)
-
-
-def refold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> Tensor3:
-    """Inverse of :func:`unfold` for the given mode and target dims."""
-    if mode not in _MODES:
-        raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
-    E, S, F = dims
-    m = np.asarray(m, dtype=np.float64)
-    if mode == 0:
-        return Tensor3(m.reshape(E, S, F))
-    if mode == 1:
-        return Tensor3(m.reshape(S, E, F).transpose(1, 0, 2))
-    return Tensor3(m.reshape(F, E, S).transpose(1, 2, 0))
-
-
-def khatri_rao(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product; row i*n_rows + k holds m[i, j] * n[k, j]."""
-    m = np.asarray(m, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if m.ndim != 2 or n.ndim != 2 or m.shape[1] != n.shape[1]:
-        raise ArgumentError(
-            f"khatri_rao requires equal column counts, got shapes {m.shape} and {n.shape}"
-        )
-    r = m.shape[1]
-    return np.einsum("ir,kr->ikr", m, n).reshape(m.shape[0] * n.shape[0], r)
-
-
 def _check_factor_shapes(t: Tensor3, fs: FactorSet):
     if fs.dims != t.dims:
         raise ArgumentError(f"factor dims {fs.dims} do not match tensor dims {t.dims}")
 
 
-def mttkrp(t: Tensor3, fs: FactorSet, mode: int) -> np.ndarray:
-    """Matricized-tensor times Khatri-Rao product for the given mode.
+def partial_product(t: Tensor3, A: np.ndarray) -> np.ndarray:
+    """T = (A^T X_(0)).reshape(r, S, F): the tensor contracted with A over
+    mode 0, which :func:`mttkrp` contracts further for modes 1 and 2."""
+    E, S, F = t.dims
+    if A.ndim != 2 or A.shape[0] != E:
+        raise ArgumentError(f"factor A of shape {A.shape} does not match tensor dims {t.dims}")
+    return (A.T @ t.data.reshape(E, S * F)).reshape(A.shape[1], S, F)
 
-    Computed fused (the Khatri-Rao product is never materialized); equals
-    unfold(t, mode) @ khatri_rao(of the other two factors) to 1e-12 relative.
+
+def mttkrp(t: Tensor3, factors, mode: int, partial=None) -> np.ndarray:
+    """Matricized-tensor times Khatri-Rao product of ``t`` with the CPD
+    factors ``(A, B, C)`` for the given mode, as matmuls (Phan, Tichavsky &
+    Cichocki, IEEE Trans. Signal Process. 61(19), 2013).
+
+    Mode 0 is one GEMM, X_(0) @ (B kr C), against the small (S*F) x r
+    Khatri-Rao product of B and C, which is built.  Modes 1 and 2 contract
+    the partial product T = ``partial_product(t, A)`` with C or with B, so
+    their cost does not grow with E.  T depends on A alone: a caller that
+    holds A fixed passes one T as ``partial`` to both, and without it T is
+    computed here.  Equals X_(mode) times the Khatri-Rao product of the
+    other two factors to 1e-12 relative.
     """
     if mode not in _MODES:
         raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
-    _check_factor_shapes(t, fs)
-    X = t.data
+    A, B, C = factors
+    r = A.shape[-1]
+    shapes = (A.shape, B.shape, C.shape)
+    if shapes != tuple((d, r) for d in t.dims):
+        raise ArgumentError(f"factor shapes {shapes} do not match tensor dims {t.dims}")
+    E, S, F = t.dims
     if mode == 0:
-        return np.einsum("esf,sr,fr->er", X, fs.B, fs.C, optimize=True)
+        # built transposed, r x (S*F): BLAS runs (B kr C)^T X_(0)^T, the shape
+        # of the GEMM behind T, up to 1.5x faster than X_(0) (B kr C)
+        kr = np.ascontiguousarray(B.T)[:, :, None] * np.ascontiguousarray(C.T)[:, None, :]
+        return (kr.reshape(r, S * F) @ t.data.reshape(E, S * F).T).T
+    if partial is None:
+        partial = partial_product(t, A)
+    elif partial.shape != (r, S, F):
+        raise ArgumentError(f"partial product of shape {partial.shape}, expected {(r, S, F)}")
     if mode == 1:
-        return np.einsum("esf,er,fr->sr", X, fs.A, fs.C, optimize=True)
-    return np.einsum("esf,er,sr->fr", X, fs.A, fs.B, optimize=True)
-
-
-def reconstruct(fs: FactorSet) -> Tensor3:
-    """Sum of rank-1 tensors: entry (e,s,f) = sum_i w_i * A[e,i]*B[s,i]*C[f,i]."""
-    data = np.einsum("r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True)
-    return Tensor3(data)
+        return np.matmul(partial, C.T[:, :, None])[:, :, 0].T
+    return np.matmul(B.T[:, None, :], partial)[:, 0, :].T
 
 
 def relative_error(t: Tensor3, fs: FactorSet) -> float:
-    """||t - reconstruct(fs)||_F / ||t||_F.
+    """||t - X^||_F / ||t||_F, with X^ the sum of the rank-1 tensors of ``fs``.
 
     The fit used by DIFFIT is 1 - relative_error**2 (explained sum of squares).
     """

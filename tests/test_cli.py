@@ -287,6 +287,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{name} is not UTF-8 text" in err and "byte offset: 12" in err
 
+    @pytest.mark.parametrize("argv,flag,missing", [
+        (("preprocess", "--manifest", "{wd}/nope.csv"), "--manifest", "nope.csv"),
+        (("project", "--manifest", "{wd}/nope.csv"), "--manifest", "nope.csv"),
+        (("project", "--tensor", "{wd}/nope.bin", "--provenance", "{wd}/prov.csv"),
+         "--tensor", "nope.bin"),
+        (("project", "--tensor", "{wd}/tensor.bin", "--provenance", "{wd}/nope.csv"),
+         "--provenance", "nope.csv"),
+    ], ids=["preprocess-manifest", "project-manifest", "tensor", "provenance"])
+    def test_missing_flag_file_names_flag_and_path(self, factor_workdir, capsys, argv, flag,
+                                                   missing):
+        wd, cfg = factor_workdir
+        argv = [a.format(wd=wd) for a in argv]
+        assert run("--config", str(cfg), "--workdir", str(wd), *argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(wd / missing) in err
+
     def test_negative_spectrum_names_row(self, factor_workdir, capsys):
         wd, cfg = factor_workdir
         data = load_tensor(wd / "tensor.bin").data.copy()
@@ -376,6 +392,22 @@ class TestImportCost:
         probe = (
             "import sys; import eegfactor.cli; import eegfactor; "
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == []
+
+    def test_diffit_loads_no_scipy(self):
+        # DIFFIT's ALS solves its Gramian systems with numpy alone, so the
+        # diffit stage pays no scipy start-up at all
+        probe = (
+            "import sys\n"
+            "from eegfactor import SynthSpec, diffit, make_tensor\n"
+            "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
+            "rep = diffit(t, r_max=3, n_runs=1)\n"
+            "assert rep.fits[0][0] > 0.0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

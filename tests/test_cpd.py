@@ -106,7 +106,36 @@ class TestAls:
         assert np.all(np.isfinite(res.factors.A))
 
 
+class TestRebalance:
+    def test_norms_equalized_and_reconstruction_kept(self):
+        from eegfactor.cpd import _rebalance
+
+        rng = np.random.default_rng(21)
+        A, B, C = (rng.standard_normal((d, 4)) * [1e3, 1.0, 1e-3, 5.0] for d in (9, 6, 7))
+        A[:, 1] = 0.0  # a zero column leaves its whole component untouched
+        before = np.einsum("er,sr,fr->esf", A, B, C)
+        kept = [M[:, 1].copy() for M in (A, B, C)]
+        _rebalance(A, B, C)
+        after = np.einsum("er,sr,fr->esf", A, B, C)
+        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
+        for M, col in zip((A, B, C), kept):
+            np.testing.assert_array_equal(M[:, 1], col)
+        norms = np.array([np.linalg.norm(M, axis=0) for M in (A, B, C)])
+        live = [0, 2, 3]
+        np.testing.assert_allclose(norms[1:, live], norms[:1, live].repeat(2, axis=0),
+                                   rtol=1e-12)
+
+
 class TestStarts:
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_tensor_norm_computed_once(self, monkeypatch, solver):
+        t, _ = make_tensor(SynthSpec(dims=(10, 19, 89), rank=2, snr_db=20.0, seed=5))
+        real_norm, seen = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, *a, **k: seen.append(x is t.data) or real_norm(x, *a, **k))
+        solver(t, CpdOptions(rank=2, n_starts=2, max_iters=5, seed=1))
+        assert seen.count(True) == 1
+
     @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
     def test_stationary_start_returns_immediately(self, planted_small, solver):
         t, truth = planted_small
@@ -280,7 +309,7 @@ class TestGramError:
         from eegfactor.tensor import mttkrp
 
         A = fs.A * fs.weights
-        MC = mttkrp(t, FactorSet(fs.rank, A, fs.B, fs.C, np.ones(fs.rank)), 2)
+        MC = mttkrp(t, (A, fs.B, fs.C), 2)
         return _gram_error(t, t.norm(), A, fs.B, fs.C, MC)[0]
 
     def test_gram_error_matches_relative_error(self, planted_noisy):

@@ -11,17 +11,69 @@ from eegfactor import (
     FactorSet,
     ParseError,
     Tensor3,
-    khatri_rao,
     load_factors,
     load_tensor,
     mttkrp,
-    reconstruct,
-    refold,
     relative_error,
     save_factors,
     save_tensor,
-    unfold,
 )
+from eegfactor.tensor import partial_product
+
+_MODES = (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the definitional forms the solver kernels are checked against
+
+def unfold(t: Tensor3, mode: int) -> np.ndarray:
+    """Mode-n matricization of ``t``: mode 0 is E x (S*F) with column s*F + f,
+    mode 1 is S x (E*F) with column e*F + f, mode 2 is F x (E*S) with column
+    e*S + s."""
+    if mode not in _MODES:
+        raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
+    E, S, F = t.dims
+    if mode == 0:
+        return t.data.reshape(E, S * F)
+    if mode == 1:
+        return np.ascontiguousarray(t.data.transpose(1, 0, 2)).reshape(S, E * F)
+    return np.ascontiguousarray(t.data.transpose(2, 0, 1)).reshape(F, E * S)
+
+
+def refold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> Tensor3:
+    """Inverse of :func:`unfold` for the given mode and target dims."""
+    if mode not in _MODES:
+        raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
+    E, S, F = dims
+    m = np.asarray(m, dtype=np.float64)
+    if mode == 0:
+        return Tensor3(m.reshape(E, S, F))
+    if mode == 1:
+        return Tensor3(m.reshape(S, E, F).transpose(1, 0, 2))
+    return Tensor3(m.reshape(F, E, S).transpose(1, 2, 0))
+
+
+def khatri_rao(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product; row i*n_rows + k holds m[i, j] * n[k, j]."""
+    m = np.asarray(m, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    if m.ndim != 2 or n.ndim != 2 or m.shape[1] != n.shape[1]:
+        raise ArgumentError(
+            f"khatri_rao requires equal column counts, got shapes {m.shape} and {n.shape}"
+        )
+    r = m.shape[1]
+    return np.einsum("ir,kr->ikr", m, n).reshape(m.shape[0] * n.shape[0], r)
+
+
+def reconstruct(fs: FactorSet) -> Tensor3:
+    """Sum of rank-1 tensors: entry (e,s,f) = sum_i w_i * A[e,i]*B[s,i]*C[f,i]."""
+    data = np.einsum("r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True)
+    return Tensor3(data)
+
+
+def mttkrp_oracle(t: Tensor3, factors, mode: int) -> np.ndarray:
+    others = [M for m, M in enumerate(factors) if m != mode]
+    return unfold(t, mode) @ khatri_rao(*others)
 
 
 def cube() -> Tensor3:
@@ -180,8 +232,8 @@ class TestKhatriRao:
 class TestMttkrp:
     def test_all_ones_rank1(self):
         t = Tensor3(np.ones((2, 2, 2)))
-        fs = FactorSet(1, np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), np.ones(1))
-        np.testing.assert_array_equal(mttkrp(t, fs, 0), np.full((2, 1), 4.0))
+        ones = (np.ones((2, 1)),) * 3
+        np.testing.assert_array_equal(mttkrp(t, ones, 0), np.full((2, 1), 4.0))
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_matches_definitional_oracle(self, mode):
@@ -190,7 +242,7 @@ class TestMttkrp:
         fs = random_factors(rng, t.dims, 2)
         pairs = {0: (fs.B, fs.C), 1: (fs.A, fs.C), 2: (fs.A, fs.B)}
         oracle = unfold(t, mode) @ khatri_rao(*pairs[mode])
-        result = mttkrp(t, fs, mode)
+        result = mttkrp(t, (fs.A, fs.B, fs.C), mode)
         np.testing.assert_allclose(result, oracle, rtol=1e-12, atol=1e-12)
 
     def test_definitional_oracle_random_suite(self):
@@ -204,20 +256,50 @@ class TestMttkrp:
             for mode, pair in ((0, (fs.B, fs.C)), (1, (fs.A, fs.C)), (2, (fs.A, fs.B))):
                 oracle = unfold(t, mode) @ khatri_rao(*pair)
                 scale = max(1.0, np.abs(oracle).max())
-                assert np.abs(mttkrp(t, fs, mode) - oracle).max() <= 1e-12 * scale
+                assert np.abs(mttkrp(t, (fs.A, fs.B, fs.C), mode) - oracle).max() <= 1e-12 * scale
 
     def test_zero_tensor(self):
         t = Tensor3(np.zeros((2, 3, 4)))
         rng = np.random.default_rng(6)
         fs = random_factors(rng, (2, 3, 4), 2)
-        np.testing.assert_array_equal(mttkrp(t, fs, 1), np.zeros((3, 2)))
+        np.testing.assert_array_equal(mttkrp(t, (fs.A, fs.B, fs.C), 1), np.zeros((3, 2)))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
         t = Tensor3(np.zeros((2, 3, 4)))
         fs = random_factors(rng, (2, 3, 5), 2)
+        for mode in _MODES:
+            with pytest.raises(ArgumentError):
+                mttkrp(t, (fs.A, fs.B, fs.C), mode)
         with pytest.raises(ArgumentError):
-            mttkrp(t, fs, 0)
+            mttkrp(t, (fs.A, fs.B, fs.C[:4, :1]), 0)  # unequal column counts
+        with pytest.raises(ArgumentError):
+            mttkrp(Tensor3(np.zeros((2, 3, 4))), (fs.A, fs.B, fs.C[:4]), 3)
+
+    # E = 2 < r at r = 3 and 6: the partial product T has more rows than X_(0)
+    @pytest.mark.parametrize("E", [2, 40])
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_matches_oracle_at_eeg_dims(self, E, r):
+        rng = np.random.default_rng(100 * E + r)
+        t = Tensor3(rng.standard_normal((E, 19, 89)))
+        factors = tuple(rng.standard_normal((d, r)) for d in t.dims)
+        T = partial_product(t, factors[0])
+        for mode in _MODES:
+            oracle = mttkrp_oracle(t, factors, mode)
+            scale = np.abs(oracle).max()
+            assert np.abs(mttkrp(t, factors, mode) - oracle).max() <= 1e-12 * scale
+            if mode:
+                # the shared-T path: one partial product serves modes 1 and 2
+                assert np.abs(mttkrp(t, factors, mode, T) - oracle).max() <= 1e-12 * scale
+
+    def test_partial_product_shape_checked(self):
+        rng = np.random.default_rng(9)
+        t = Tensor3(rng.standard_normal((4, 3, 5)))
+        factors = tuple(rng.standard_normal((d, 2)) for d in t.dims)
+        with pytest.raises(ArgumentError):
+            partial_product(t, factors[0][:3])
+        with pytest.raises(ArgumentError):
+            mttkrp(t, factors, 1, partial_product(t, factors[0])[:1])
 
 
 class TestReconstruct:
