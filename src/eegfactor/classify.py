@@ -1,14 +1,15 @@
 """Subject-disjoint cross-validated cohort classification.
 
 Models are deliberately small and fully deterministic: Gaussian naive Bayes
-with floored variances and a Pegasos-style linear SVM trained by seeded
-stochastic subgradient with tail-averaged iterates.  Epoch scores are
-averaged per subject before the Mann-Whitney AUC.
+with floored variances, and a linear SVM whose primal (unregularized bias)
+is solved exactly through its dual by pairwise SMO over the fold's Gram
+matrix, with no random draws.  Epoch scores are averaged per subject before
+the Mann-Whitney AUC.
 
-No scipy is imported here: the AUC's average ranks come from the small numpy
-``_average_ranks``.  Every CLI stage is a fresh interpreter, and importing
-``scipy.stats`` for ``rankdata`` alone cost the ``classify`` stage about 1.2 s
-of start-up.
+No scipy is imported here: the SVM solve is numpy alone, and the AUC's
+average ranks come from the small numpy ``_average_ranks``.  Every CLI stage
+is a fresh interpreter, and importing ``scipy.stats`` for ``rankdata`` alone
+cost the ``classify`` stage about 1.2 s of start-up.
 """
 from __future__ import annotations
 
@@ -128,7 +129,12 @@ def gnb_score(m: GnbModel, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear SVM (Pegasos-style primal subgradient)
+# linear SVM (exact dual solve by pairwise SMO)
+
+# the dual solve stops once no pair violates the KKT conditions by more than
+# this, in margin units (the spread of the bias the rows ask for)
+_KKT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -145,13 +151,21 @@ def svm_objective(m: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * float(m.w @ m.w) + m.C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0, epochs: int = 200, seed: int = 0) -> SvmModel:
-    """Seeded stochastic subgradient on the scaled primal, iterates averaged
-    over the second half of the trajectory.
+def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0, epochs: int = 200) -> SvmModel:
+    """Minimize (1/2)||w||^2 + C sum_i hinge_i with an unregularized bias.
 
-    Minimizing (1/2)||w||^2 + C sum_i hinge_i equals minimizing
-    (lam/2)||w||^2 + mean_i hinge_i with lam = 1/(C n); steps are the classic
-    1/(lam t) schedule.  The bias is unregularized.
+    The solve is on the dual: min (1/2) a'Qa - sum(a) over 0 <= a_i <= C with
+    sum_i s_i a_i = 0, where s_i = +-1 is the class sign and
+    Q_ij = s_i s_j x_i.x_j.  Each step moves the maximal-violating pair (i, j)
+    to the exact minimum along the equality constraint, clipped to the box
+    (pairwise SMO; Platt, 1998; Keerthi et al., 2001).  F_t = s_t - w.x_t,
+    the bias row t asks for, is kept up to date from the Gram rows K[i] and
+    K[j].  The solve stops when max F over the rows that may move up is
+    within ``_KKT_TOL`` of min F over the rows that may move down, or after
+    ``epochs * n`` pair updates.  Then w = sum_i s_i a_i x_i, and b is the
+    mean F of the free support vectors (0 < a < C), or the midpoint of the
+    two KKT bounds when none is free.  No randomness: ties go to the lowest
+    row index.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -162,30 +176,47 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0, epochs: int = 200, see
     n, d = X.shape
     if C == 0.0:
         return SvmModel(w=np.zeros(d), b=0.0, C=0.0, degenerate=True)
+    C = float(C)
     sgn = np.where(y == 1, 1.0, -1.0)
-    lam = 1.0 / (C * n)
-    total = max(1, epochs) * n
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 4]))
-    picks = rng.integers(0, n, size=total)
-    w = np.zeros(d)
-    b = 0.0
-    w_sum = np.zeros(d)
-    b_sum = 0.0
-    half = total // 2
-    n_avg = 0
-    for t in range(1, total + 1):
-        i = picks[t - 1]
-        eta = 1.0 / (lam * t)
-        margin = sgn[i] * (X[i] @ w + b)
-        w *= 1.0 - eta * lam
-        if margin < 1.0:
-            w += eta * sgn[i] * X[i]
-            b += eta * sgn[i]
-        if t > half:
-            w_sum += w
-            b_sum += b
-            n_avg += 1
-    return SvmModel(w=w_sum / n_avg, b=b_sum / n_avg, C=float(C))
+    K = X @ X.T
+    alpha = np.zeros(n)
+    F = sgn.copy()
+    # 0 where s_t a_t may still grow (up) or shrink (low), -inf / +inf elsewhere
+    up = np.where(sgn > 0, 0.0, -np.inf)
+    low = np.where(sgn > 0, np.inf, 0.0)
+    buf = np.empty(n)
+    for _ in range(max(1, epochs) * n):
+        i = int(np.add(F, up, out=buf).argmax())
+        hi = buf[i]
+        j = int(np.add(F, low, out=buf).argmin())
+        gap = hi - buf[j]
+        if gap < _KKT_TOL:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        room_i = C - alpha[i] if sgn[i] > 0 else alpha[i]
+        room_j = alpha[j] if sgn[j] > 0 else C - alpha[j]
+        step = min(gap / eta, room_i, room_j)
+        alpha[i] += sgn[i] * step
+        alpha[j] -= sgn[j] * step
+        # a clipped step lands exactly on the bound
+        if step == room_i:
+            alpha[i] = C if sgn[i] > 0 else 0.0
+        if step == room_j:
+            alpha[j] = 0.0 if sgn[j] > 0 else C
+        F -= step * (K[i] - K[j])
+        for t in (i, j):
+            grow = alpha[t] < C if sgn[t] > 0 else alpha[t] > 0.0
+            shrink = alpha[t] > 0.0 if sgn[t] > 0 else alpha[t] < C
+            up[t] = 0.0 if grow else -np.inf
+            low[t] = 0.0 if shrink else np.inf
+    w = X.T @ (sgn * alpha)
+    F = sgn - X @ w
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        b = float(np.mean(F[free]))
+    else:
+        b = 0.5 * float(np.max(F + up) + np.min(F + low))
+    return SvmModel(w=w, b=b, C=C)
 
 
 def svm_score(m: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -304,7 +335,7 @@ def cross_validate(
             m = gnb_fit(Xtr, y[train])
             scores = gnb_score(m, Xte)
         else:
-            m = svm_fit(Xtr, y[train], C=svm_c, epochs=svm_epochs, seed=seed + f)
+            m = svm_fit(Xtr, y[train], C=svm_c, epochs=svm_epochs)
             scores = svm_score(m, Xte)
         # average epoch scores per subject
         per_subject: dict[str, list[float]] = {}

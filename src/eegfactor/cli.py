@@ -206,6 +206,15 @@ def _read_json(path: Path, keys) -> dict:
     return doc
 
 
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in 1 MiB chunks (hashlib.file_digest is 3.11+)."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def _fmt_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -428,7 +437,8 @@ def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
 
 
 def run_diffit(cfg: dict, workdir: Path) -> int:
-    t = load_tensor(_require(workdir / "tensor.bin", "preprocess"))
+    tensor_path = _require(workdir / "tensor.bin", "preprocess")
+    t = load_tensor(tensor_path)
     seed = cfg["cpd"]["seed"]
     opts = cpd_options(cfg, rank=1)
     report = diffit(
@@ -443,6 +453,8 @@ def run_diffit(cfg: dict, workdir: Path) -> int:
             "chosen": list(report.chosen),
             "histogram": {str(k): v for k, v in report.histogram.items()},
             "modal_rank": report.modal_rank,
+            # decompose takes its rank from this report only for this tensor
+            "tensor_sha256": _sha256(tensor_path),
         }
     )
     _write_json(workdir / "rank_report.json", doc)
@@ -461,10 +473,14 @@ def _resolve_rank(cfg: dict, workdir: Path, flag_rank) -> int:
         return int(flag_rank)
     report_path = workdir / "rank_report.json"
     if report_path.exists():
-        rank = _read_json(report_path, ("modal_rank",))["modal_rank"]
+        doc = _read_json(report_path, ("modal_rank",))
+        rank = doc["modal_rank"]
         if type(rank) is not int or rank < 1:
             raise ParseError(f"{report_path.name}: modal_rank must be a positive integer, "
                              f"got {rank!r}", field="modal_rank")
+        if doc.get("tensor_sha256") != _sha256(workdir / "tensor.bin"):
+            raise ParseError(f"{report_path.name} was not made from this tensor.bin; "
+                             "rerun `diffit` or pass --rank", field="tensor_sha256")
         return rank
     return int(cfg["cpd"]["rank"])
 
@@ -710,8 +726,7 @@ def run_report(cfg: dict, workdir: Path) -> int:
     for name in sorted(p.name for p in workdir.iterdir() if p.is_file()):
         if name in (".lock", "report.json"):
             continue
-        digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()[:16]
-        artifacts[name] = digest
+        artifacts[name] = _sha256(workdir / name)[:16]
     summary = dict(_stamp(cfg, cfg["cpd"]["seed"]))
     summary["artifacts"] = artifacts
     for source, keys in (

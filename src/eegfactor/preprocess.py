@@ -112,7 +112,12 @@ def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) ->
             f"sample rate {r.sample_rate} Hz cannot support a {hi} Hz band edge"
         )
     sos = sps.butter(order, [lo, hi], btype="bandpass", fs=r.sample_rate, output="sos")
-    filtered = np.ascontiguousarray(sps.sosfiltfilt(sos, r.samples, axis=1))
+    # one channel at a time: the filter's padded and reversed temporaries
+    # then hold one row, not the whole recording; the rows come out
+    # bit-identical to a single axis=1 call
+    filtered = np.empty_like(r.samples, order="C")
+    for out, row in zip(filtered, r.samples):
+        out[:] = sps.sosfiltfilt(sos, row)
     filtered.flags.writeable = False
     return Recording(
         samples=filtered,

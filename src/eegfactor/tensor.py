@@ -235,6 +235,11 @@ def load_tensor(path) -> Tensor3:
         if len(head) < _HEADER.size:
             raise ParseError("tensor file truncated before header", field="dims", offset=len(head))
         E, S, F = _HEADER.unpack(head)
+        if 0 in (E, S, F):
+            # no stage writes an empty tensor, and numpy refuses one whose
+            # other dims are huge even though it holds no bytes
+            raise ParseError(f"tensor file has a zero dimension ({E},{S},{F})", field="dims",
+                             offset=0)
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER.size + E * S * F * 8
         if size != expected:

@@ -16,7 +16,7 @@ from eegfactor import (
     svm_objective,
     svm_score,
 )
-from eegfactor.classify import _average_ranks
+from eegfactor.classify import SvmModel, _average_ranks
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -33,6 +33,50 @@ def auc_pairwise_oracle(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def svm_slsqp_oracle(X, y, C):
+    """The primal over (w, b, xi) solved by SLSQP: an oracle independent of
+    the dual solve.  min (1/2)||w||^2 + C sum xi, s_i (w.x_i + b) >= 1 - xi_i,
+    xi >= 0."""
+    from scipy.optimize import minimize
+
+    n, d = X.shape
+    sgn = np.where(y == 1, 1.0, -1.0)
+    margin = np.hstack([sgn[:, None] * X, sgn[:, None], np.eye(n)])
+    slack = np.hstack([np.zeros((n, d + 1)), np.eye(n)])
+    grad_xi = np.r_[np.zeros(d + 1), np.full(n, C)]
+    res = minimize(
+        lambda z: 0.5 * z[:d] @ z[:d] + C * z[d + 1 :].sum(),
+        np.zeros(d + 1 + n),
+        jac=lambda z: grad_xi + np.r_[z[:d], np.zeros(n + 1)],
+        constraints=[
+            {"type": "ineq", "fun": lambda z: margin @ z - 1.0, "jac": lambda z: margin},
+            {"type": "ineq", "fun": lambda z: slack @ z, "jac": lambda z: slack},
+        ],
+        method="SLSQP",
+        options={"ftol": 1e-10, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return SvmModel(w=res.x[:d], b=float(res.x[d]), C=C)
+
+
+def gaussian_fixture():
+    """100 x 4 z-scored rows, two overlapping Gaussian classes."""
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(-0.6, 1.0, (50, 4)), rng.normal(0.6, 1.0, (50, 4))])
+    return (X - X.mean(0)) / X.std(0), np.array([0] * 50 + [1] * 50)
+
+
+def pib_like_fixture():
+    """40 x 95 z-scored rows shaped like PIB features: per channel, the five
+    band shares of a Dirichlet draw, the alpha share larger in class 1."""
+    rng = np.random.default_rng(17)
+    y = np.array([0] * 20 + [1] * 20)
+    X = np.array([
+        rng.dirichlet([3.0, 2.0, 4.0 + 1.5 * c, 2.0, 1.0], size=19).ravel() for c in y
+    ])
+    return (X - X.mean(0)) / X.std(0), y
 
 
 class TestGnb:
@@ -91,7 +135,7 @@ class TestSvm:
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal((-2, 0), 0.2, (20, 2)), rng.normal((2, 0), 0.2, (20, 2))])
         y = np.array([0] * 20 + [1] * 20)
-        m = svm_fit(X, y, C=1.0, epochs=300, seed=0)
+        m = svm_fit(X, y, C=1.0, epochs=300)
         pred = (svm_score(m, X) > 0).astype(int)
         assert np.array_equal(pred, y)
 
@@ -100,11 +144,26 @@ class TestSvm:
         X = np.vstack([rng.normal(-0.6, 1.0, (50, 4)), rng.normal(0.6, 1.0, (50, 4))])
         X = (X - X.mean(0)) / X.std(0)
         y = np.array([0] * 50 + [1] * 50)
-        fast = svm_fit(X, y, C=1.0, epochs=200, seed=1)
-        oracle = svm_fit(X, y, C=1.0, epochs=10_000, seed=2)  # 10^6 iterations
+        fast = svm_fit(X, y, C=1.0, epochs=200)
+        oracle = svm_fit(X, y, C=1.0, epochs=10_000)  # a cap of 10^6 pair updates
         f_fast = svm_objective(fast, X, y)
         f_oracle = svm_objective(oracle, X, y)
         assert f_fast <= 1.02 * f_oracle
+
+    @pytest.mark.parametrize("fixture", [gaussian_fixture, pib_like_fixture],
+                             ids=["gaussian-100x4", "pib-40x95"])
+    def test_objective_matches_slsqp_oracle(self, fixture):
+        X, y = fixture()
+        f_fit = svm_objective(svm_fit(X, y, C=1.0), X, y)
+        f_oracle = svm_objective(svm_slsqp_oracle(X, y, C=1.0), X, y)
+        assert abs(f_fit - f_oracle) <= 1e-6 * f_oracle
+
+    def test_epochs_cap_pair_updates(self):
+        # epochs * n pair updates are too few on this fixture to converge
+        X, y = gaussian_fixture()
+        capped = svm_objective(svm_fit(X, y, C=1.0, epochs=1), X, y)
+        full = svm_objective(svm_fit(X, y, C=1.0), X, y)
+        assert capped > 1.01 * full
 
     def test_c_zero_degenerate(self):
         X = np.array([[0.0], [1.0]])
@@ -121,8 +180,8 @@ class TestSvm:
         rng = np.random.default_rng(4)
         X = rng.normal(0, 1, (30, 3))
         y = np.array([0, 1] * 15)
-        m1 = svm_fit(X, y, C=0.5, epochs=50, seed=9)
-        m2 = svm_fit(X, y, C=0.5, epochs=50, seed=9)
+        m1 = svm_fit(X, y, C=0.5, epochs=50)
+        m2 = svm_fit(X, y, C=0.5, epochs=50)
         np.testing.assert_array_equal(m1.w, m2.w)
         assert m1.b == m2.b
 

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from eegfactor import ParseError, Tensor3, load_factors, load_tensor, read_manifest, save_tensor
-from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, main
+from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, _sha256, main
 
 CONFIG = """\
 preprocess:
@@ -216,6 +218,27 @@ class TestErrors:
                    "--mode", "tensor", "--dims", "10", "19", "89") == 0
         assert not (wd / ".lock").exists()
 
+    def test_stale_rank_report_refused(self, workdir, capsys):
+        # a rank report made from another tensor.bin must not choose the rank
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        synth = ["synth", "--mode", "tensor", "--dims", "12", "19", "89"]
+        assert run(*base, *synth) == 0
+        assert run(*base, "diffit") == 0
+        assert run(*base, "--seed", "4", *synth) == 0
+        assert run(*base, "decompose") == 2
+        err = capsys.readouterr().err
+        assert "rank_report.json" in err and "tensor.bin" in err
+        assert "field: tensor_sha256" in err
+        assert run(*base, "decompose", "--rank", "2") == 0
+
+    def test_sha256_needs_no_file_digest(self, tmp_path, monkeypatch):
+        # the package declares Python >= 3.10; hashlib.file_digest is 3.11+
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        blob = tmp_path / "blob.bin"
+        blob.write_bytes(bytes(range(256)) * 9000)  # spans several read chunks
+        assert _sha256(blob) == hashlib.sha256(blob.read_bytes()).hexdigest()
+
     def test_bad_rank_flag(self, workdir, capsys):
         wd, cfg = workdir
         assert run("--config", str(cfg), "--workdir", str(wd), "synth",
@@ -383,6 +406,40 @@ class TestLoaderFuzz:
             except ParseError:
                 pass
 
+    def test_tensor_loader_is_total_on_fuzz(self, tmp_path):
+        # truncated, flipped and resized tensor files load or give a
+        # ParseError, never a crash
+        rng = np.random.default_rng(9)
+        path = tmp_path / "tensor.bin"
+        save_tensor(Tensor3(rng.random((3, 2, 4))), path)
+        base = path.read_bytes()
+        loaded = 0
+        for trial in range(400):
+            blob = bytearray(base)
+            if trial % 4 == 0:  # truncated
+                del blob[int(rng.integers(0, len(blob))):]
+            elif trial % 4 == 1:  # bytes replaced, header included
+                for _ in range(int(rng.integers(1, 4))):
+                    pos = int(rng.integers(0, len(blob)))
+                    blob[pos] = int(rng.integers(0, 256))
+            elif trial % 4 == 2:  # header dims rewritten, zero and huge ones too
+                sizes = (0, 1, 2, 3, 4, 6, 24, 2**31, 2**62, 2**64 - 1)
+                dims = [sizes[k] for k in rng.integers(0, len(sizes), size=3)]
+                blob[:24] = struct.pack("<3Q", *dims)
+                if trial % 8 == 2:  # and the body dropped
+                    del blob[24:]
+            else:  # bytes appended or cut from the end
+                cut = int(rng.integers(-16, 17))
+                blob = blob[:cut] if cut < 0 else blob + bytes(cut)
+            path.write_bytes(bytes(blob))
+            try:
+                out = load_tensor(path)
+            except ParseError:
+                continue
+            assert isinstance(out, Tensor3)
+            loaded += 1
+        assert loaded > 0
+
 
 class TestImportCost:
     def test_cli_import_loads_no_heavy_scipy(self):
@@ -407,6 +464,26 @@ class TestImportCost:
             "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
             "rep = diffit(t, r_max=3, n_runs=1)\n"
             "assert rep.fits[0][0] > 0.0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == []
+
+    def test_classify_loads_no_scipy(self):
+        # GNB, the SVM's dual solve and the AUC use numpy alone, so the
+        # classify stage pays no scipy start-up at all
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from eegfactor import CohortDataset, cross_validate\n"
+            "rng = np.random.default_rng(4)\n"
+            "subjects = tuple(f'S{i // 2}' for i in range(24))\n"
+            "labels = tuple('AD' if i % 4 < 2 else 'CN' for i in range(24))\n"
+            "X = rng.normal(size=(24, 5)) + 2.0 * np.array([l == 'AD' for l in labels])[:, None]\n"
+            "rep = cross_validate(CohortDataset(X, subjects, labels), 'CNvsAD', 'SVM', k=3)\n"
+            "assert rep.mean_auc > 0.5\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

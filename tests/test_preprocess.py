@@ -63,6 +63,16 @@ class TestBandpass:
         out = bandpass(rec)
         assert abs(out.samples.mean()) < 1.0  # <1% of the 100 uV offset
 
+    def test_rows_equal_one_stacked_filter(self):
+        # the per-channel filter must give the same bits as one axis=1 call
+        from scipy import signal as sps
+
+        rec = make_recording(seed=5, duration=30.0)
+        sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=rec.sample_rate, output="sos")
+        out = bandpass(rec)
+        assert out.samples.flags.c_contiguous and not out.samples.flags.writeable
+        assert np.array_equal(out.samples, sps.sosfiltfilt(sos, rec.samples, axis=1))
+
     def test_rate_too_low(self):
         rec = Recording(
             samples=np.zeros((19, 800)), sample_rate=80.0, channel_labels=CHANNELS
