@@ -24,10 +24,7 @@ from .edf import Recording, read_edf, read_edf_file, read_manifest, select_chann
 from .preprocess import (
     BANDS,
     FREQ_GRID,
-    Epoch,
-    EpochSpectrum,
     bandpass,
-    build_tensor,
     epoch_and_reject,
     pib,
     select_awake_epochs,

@@ -42,7 +42,6 @@ from .preprocess import (
     INVALID_SPECTRUM,
     PIB_NAMES,
     bandpass,
-    build_tensor,
     epoch_and_reject,
     invalid_spectra,
     pib,
@@ -52,7 +51,15 @@ from .preprocess import (
 from .projection import build_basis, project
 from .rank import diffit
 from .synth import SynthSpec, make_cohort, make_recording, make_tensor
-from .tensor import atomic_open, load_factors, load_tensor, read_text, save_factors, save_tensor
+from .tensor import (
+    Tensor3,
+    atomic_open,
+    load_factors,
+    load_tensor,
+    read_text,
+    save_factors,
+    save_tensor,
+)
 
 DEFAULT_CONFIG = {
     "paths": {
@@ -105,11 +112,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
+        if not Path(path).is_file():
+            raise ConfigError(f"--config names no file: {path}")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                user = yaml.safe_load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+            user = yaml.safe_load(read_text(path))
+        except ParseError as exc:
+            raise ConfigError(f"config file {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from None
         if user is None:
@@ -143,6 +151,8 @@ def validate_config(cfg: dict):
         raise ConfigError("preprocess.rejection_sigma must be positive")
     if pp["filter_order"] < 2:
         raise ConfigError("preprocess.filter_order must be >= 2")
+    if cfg["cpd"]["solver"] not in ("ALS", "GN"):
+        raise ConfigError(f"cpd.solver must be 'ALS' or 'GN', got {cfg['cpd']['solver']!r}")
     try:
         cpd_options(cfg)
     except ArgumentError as exc:
@@ -170,7 +180,6 @@ def cpd_options(cfg: dict, **overrides) -> CpdOptions:
         tol=float(section["tol"]),
         n_starts=int(section["n_starts"]),
         seed=int(section["seed"]),
-        solver=str(section["solver"]),
     )
 
 
@@ -288,7 +297,7 @@ def workdir_lock(workdir: Path):
 
 
 def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
+    if not path.is_file():
         raise IngestError(f"missing {path.name}; run `{producer}` first")
     return path
 
@@ -304,12 +313,12 @@ def _flag_file(value, flag: str) -> Path:
 # ---------------------------------------------------------------------------
 # provenance / label tables
 
-def _write_provenance(path: Path, rows):
-    _write_csv(
-        path,
-        ["epoch_row", "subject_id", "recording_id", "epoch_index"],
-        [(r.epoch_row, r.subject_id, r.recording_id, r.epoch_index) for r in rows],
-    )
+# the origin of each tensor row, as (subject_id, recording_id, epoch_index)
+ID_COLUMNS = ["subject_id", "recording_id", "epoch_index"]
+
+
+def _write_provenance(path: Path, ids):
+    _write_csv(path, ["epoch_row"] + ID_COLUMNS, [(e, *i) for e, i in enumerate(ids)])
 
 
 def _csv_dict_rows(path: Path, need: set, what: str) -> csv.DictReader:
@@ -321,8 +330,7 @@ def _csv_dict_rows(path: Path, need: set, what: str) -> csv.DictReader:
 
 def _read_provenance(path: Path) -> list[tuple[str, str, int]]:
     out = []
-    reader = _csv_dict_rows(path, {"epoch_row", "subject_id", "recording_id", "epoch_index"},
-                            "provenance")
+    reader = _csv_dict_rows(path, {"epoch_row", *ID_COLUMNS}, "provenance")
     for row in reader:
         try:
             out.append((row["subject_id"], row["recording_id"], int(row["epoch_index"])))
@@ -355,25 +363,23 @@ def _write_features(path: Path, ids, names, feats: np.ndarray):
     then that epoch's row of ``feats``."""
     _write_csv(
         path,
-        ["subject_id", "recording_id", "epoch_index"] + list(names),
+        ID_COLUMNS + list(names),
         [list(i) + row for i, row in zip(ids, feats.tolist())],
     )
 
 
-def _read_feature_csv(path: Path, id_cols: int = 3):
+def _read_feature_csv(path: Path):
     """Rows of (subject_id, recording_id, epoch_index, feature vector)."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
-    if header is None or header[:id_cols] != ["subject_id", "recording_id", "epoch_index"]:
-        raise ParseError(
-            f"{path.name} must start with subject_id,recording_id,epoch_index", field="header"
-        )
+    if header is None or header[: len(ID_COLUMNS)] != ID_COLUMNS:
+        raise ParseError(f"{path.name} must start with {','.join(ID_COLUMNS)}", field="header")
     subjects, feats = [], []
     for row in reader:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-            values = [float(v) for v in row[id_cols:]]
+            values = [float(v) for v in row[len(ID_COLUMNS):]]
             if not all(map(math.isfinite, values)):
                 raise ValueError("features must be finite")
         except ValueError as exc:
@@ -390,47 +396,45 @@ def _read_feature_csv(path: Path, id_cols: int = 3):
 # stages
 
 def _preprocess_recording(entry, cfg):
+    """The spectra of one manifest entry's kept epochs and their ids; the
+    ids name the recording by its file stem and the entry's subject."""
     pp = cfg["preprocess"]
-    rec = read_edf_file(entry.path)
-    rec = select_channels(rec)
+    rec = select_channels(read_edf_file(entry.path))
     rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
-    # manifest identities override whatever the EDF header carried
-    rec = type(rec)(
-        samples=rec.samples,
-        sample_rate=rec.sample_rate,
-        channel_labels=rec.channel_labels,
-        recording_id=entry.path.stem,
-        subject_id=entry.subject_id,
-    )
-    epochs = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
-    epochs = select_awake_epochs(epochs, pp["min_epochs"], pp["max_epochs"])
-    return [welch(e) for e in epochs]
+    recording_id = entry.path.stem
+    try:
+        epochs, ordinals = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
+        picked = select_awake_epochs(epochs, rec.sample_rate, pp["min_epochs"],
+                                     pp["max_epochs"])
+    except IngestError as exc:
+        raise IngestError(f"recording {recording_id} {exc}") from None
+    spectra = [welch(epochs[i], rec.sample_rate) for i in picked]
+    return spectra, [(entry.subject_id, recording_id, k) for k in ordinals[picked].tolist()]
 
 
 def _preprocess_entries(entries, cfg):
-    """Stack the spectra of every manifest entry in order, with their
-    provenance; a recording that fails to ingest is skipped with a warning."""
-    spectra = []
+    """The tensor of every manifest entry's spectra in order, and each row's
+    ids; a recording that fails to ingest is skipped with a warning."""
+    spectra, ids = [], []
     for entry in entries:
         try:
-            spectra.extend(_preprocess_recording(entry, cfg))
+            psd, rows = _preprocess_recording(entry, cfg)
         except (IngestError, ParseError) as exc:
             print(f"warning: skipping {entry.path.name}: {exc}", file=sys.stderr)
+            continue
+        spectra += psd
+        ids += rows
     if not spectra:
         raise IngestError("no recording in the manifest survived preprocessing")
-    return build_tensor(spectra)
-
-
-def _ids(provenance) -> list[tuple[str, str, int]]:
-    return [(r.subject_id, r.recording_id, r.epoch_index) for r in provenance]
+    return Tensor3(np.stack(spectra)), ids
 
 
 def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
     entries = read_manifest(_flag_file(manifest_path, "--manifest"))
-    t, provenance = _preprocess_entries(entries, cfg)
+    t, ids = _preprocess_entries(entries, cfg)
     save_tensor(t, workdir / "tensor.bin")
-    _write_provenance(workdir / "provenance.csv", provenance)
-    _write_features(workdir / "pib.csv", _ids(provenance), PIB_NAMES, pib(t.data))
+    _write_provenance(workdir / "provenance.csv", ids)
+    _write_features(workdir / "pib.csv", ids, PIB_NAMES, pib(t.data))
     _write_stage_config(workdir, "preprocess", cfg, cfg["cpd"]["seed"])
     print(f"preprocess: {t.dims[0]} epochs from {len(entries)} recordings -> tensor {t.dims}")
     return 0
@@ -472,7 +476,7 @@ def _resolve_rank(cfg: dict, workdir: Path, flag_rank) -> int:
     if flag_rank is not None:
         return int(flag_rank)
     report_path = workdir / "rank_report.json"
-    if report_path.exists():
+    if report_path.is_file():
         doc = _read_json(report_path, ("modal_rank",))
         rank = doc["modal_rank"]
         if type(rank) is not int or rank < 1:
@@ -489,17 +493,17 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
     t = load_tensor(_require(workdir / "tensor.bin", "preprocess"))
     rank = _resolve_rank(cfg, workdir, flag_rank)
     opts = cpd_options(cfg, rank=rank)
-    solver = cpd_gn if opts.solver == "GN" else cpd_als
-    result = solver(t, opts)
+    solver = cfg["cpd"]["solver"]
+    result = (cpd_gn if solver == "GN" else cpd_als)(t, opts)
     if not result.converged and result.fit <= 0.0:
         raise NumericalError(
-            f"{opts.solver} failed to converge to a usable iterate (fit={result.fit:.3g})"
+            f"{solver} failed to converge to a usable iterate (fit={result.fit:.3g})"
         )
     save_factors(result.factors, workdir / "factors.json")
     meta = dict(_stamp(cfg, opts.seed))
     meta.update(
         {
-            "solver": opts.solver,
+            "solver": solver,
             "rank": rank,
             "rel_error": result.rel_error,
             "fit": result.fit,
@@ -529,7 +533,7 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
     )
     _write_stage_config(workdir, "decompose", cfg, opts.seed)
     print(
-        f"decompose: rank {rank} {opts.solver} fit={result.fit:.6f} "
+        f"decompose: rank {rank} {solver} fit={result.fit:.6f} "
         f"rel_error={result.rel_error:.3e} ({result.iterations} iters)"
     )
     return 0
@@ -556,8 +560,7 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
                               f"{INVALID_SPECTRUM}")
     elif manifest is not None:
         entries = read_manifest(_flag_file(manifest, "--manifest"))
-        t, provenance = _preprocess_entries(entries, cfg)
-        ids = _ids(provenance)
+        t, ids = _preprocess_entries(entries, cfg)
     else:
         raise ConfigError("project needs --manifest or --tensor/--provenance")
     grid = (len(CHANNELS), len(FREQ_GRID))
@@ -610,17 +613,17 @@ def _classify_feature_set(name, path, labels, cfg, reports, summary_rows):
 def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
     weights_path = workdir / "weights.csv"
     pib_path = workdir / "validation_pib.csv"
-    if not weights_path.exists() and not pib_path.exists():
+    if not weights_path.is_file() and not pib_path.is_file():
         raise IngestError("missing weights.csv; run `project` first")
-    labels_file = Path(labels_path) if labels_path else workdir / "labels.csv"
-    if not labels_file.exists():
+    labels_file = _flag_file(labels_path, "--labels") if labels_path else workdir / "labels.csv"
+    if not labels_file.is_file():
         raise IngestError(f"missing labels CSV {labels_file.name}; provide --labels")
     labels = _read_labels(labels_file)
     reports: list = []
     summary_rows: list = []
-    if weights_path.exists():
+    if weights_path.is_file():
         _classify_feature_set("TD", weights_path, labels, cfg, reports, summary_rows)
-    if pib_path.exists():
+    if pib_path.is_file():
         _classify_feature_set("PIB", pib_path, labels, cfg, reports, summary_rows)
     if not summary_rows:
         raise IngestError("no task had two classes with >= 2 subjects each")
@@ -673,19 +676,18 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
     if args.mode == "cohort":
         per_class = _parse_subjects_per_class(args.subjects_per_class)
         cohort = make_cohort(spec, per_class, epochs_per_subject=args.epochs_per_subject)
-        ct, cprov = build_tensor(cohort.spectra)
-        save_tensor(ct, workdir / "cohort_tensor.bin")
-        _write_provenance(workdir / "cohort_provenance.csv", cprov)
+        save_tensor(Tensor3(cohort.psd), workdir / "cohort_tensor.bin")
+        _write_provenance(workdir / "cohort_provenance.csv", cohort.ids)
         _write_csv(
             workdir / "labels.csv",
             ["subject_id", "label"],
             sorted(cohort.labels.items()),
         )
-        _write_features(workdir / "truth_weights.csv", _ids(cprov),
+        _write_features(workdir / "truth_weights.csv", cohort.ids,
                         [f"w{i + 1}" for i in range(spec.rank)], cohort.weights)
         print(
             f"synth: population tensor {t.dims} + cohort of "
-            f"{len(cohort.spectra)} epochs ({sum(per_class.values())} subjects)"
+            f"{len(cohort.ids)} epochs ({sum(per_class.values())} subjects)"
         )
     else:
         print(f"synth: population tensor {t.dims} (rank {spec.rank})")
@@ -734,12 +736,12 @@ def run_report(cfg: dict, workdir: Path) -> int:
         ("decompose_meta.json", ("rank", "fit", "rel_error", "converged")),
     ):
         path = workdir / source
-        if path.exists():
+        if path.is_file():
             doc = _read_json(path, keys)
             for key in keys:
                 summary[f"{source.split('.')[0]}_{key}"] = doc[key]
     cv_path = workdir / "cv_report.json"
-    if cv_path.exists():
+    if cv_path.is_file():
         keys = ("feature", "model", "task", "mean_auc", "std_auc")
         try:
             summary["classification"] = [

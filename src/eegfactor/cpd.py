@@ -45,7 +45,6 @@ class CpdOptions:
     tol: float = 1e-8
     n_starts: int = 5
     seed: int = 0
-    solver: str = "ALS"
 
     def __post_init__(self):
         if self.rank < 1:
@@ -56,8 +55,6 @@ class CpdOptions:
             raise ArgumentError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.max_iters < 1:
             raise ArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.solver not in ("ALS", "GN"):
-            raise ArgumentError(f"solver must be 'ALS' or 'GN', got {self.solver!r}")
 
 
 @dataclass(frozen=True)

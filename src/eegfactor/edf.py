@@ -328,17 +328,17 @@ def _normalize_label(label: str) -> str:
     return s.strip()
 
 
-def select_channels(r: Recording, order=CHANNELS) -> Recording:
-    """Reorder channels to ``order`` (default: the 19-channel montage).
+def select_channels(r: Recording) -> Recording:
+    """Reorder channels to the 19-channel montage ``CHANNELS``.
 
     Matching is case-insensitive after stripping the "EEG " prefix and
-    "-REF"/"-LE" suffixes; output labels are the canonical requested names.
+    "-REF"/"-LE" suffixes; output labels are the canonical names.
     """
     available = {}
     for i, label in enumerate(r.channel_labels):
         available.setdefault(_normalize_label(label), i)
     indices, missing = [], []
-    for want in order:
+    for want in CHANNELS:
         idx = available.get(_normalize_label(want))
         if idx is None:
             missing.append(want)
@@ -353,7 +353,7 @@ def select_channels(r: Recording, order=CHANNELS) -> Recording:
     return Recording(
         samples=samples,
         sample_rate=r.sample_rate,
-        channel_labels=tuple(order),
+        channel_labels=CHANNELS,
         recording_id=r.recording_id,
         subject_id=r.subject_id,
     )

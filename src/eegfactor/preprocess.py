@@ -1,10 +1,16 @@
-"""Recording-to-spectrum preprocessing chain and tensor assembly.
+"""Recording-to-spectrum preprocessing chain on plain numpy arrays.
 
-The chain per recording: zero-phase band-pass, contiguous 10-s epoching with
-high-power Cz rejection, awake-epoch selection by posterior alpha, Welch power
-spectral densities on a fixed 1.0-45.0 Hz grid, and stacking into the
-population tensor.  Power-in-bands (PIB) baseline features live here too;
-``pib`` takes one (19, 89) spectrum or a stack of them, as the tensor holds.
+The chain per recording: zero-phase band-pass (``bandpass``), contiguous
+10-s epoching with high-power Cz rejection (``epoch_and_reject``: a (k, 19, n)
+stack of kept epochs and their ordinals), awake-epoch selection by posterior
+alpha (``select_awake_epochs``: positions into that stack), and Welch power
+spectral densities on a fixed 1.0-45.0 Hz grid (``welch``: one (19, n) epoch
+to its (19, 89) spectrum).  The caller stacks the spectra into the population
+tensor and records each row's (subject, recording, epoch) origin.  The
+arrays carry no names, so the IngestErrors of epoching and selection read as
+predicates ("holds fewer than 2 epochs"); the caller prefixes the recording.
+Power-in-bands (PIB) baseline features live here too; ``pib`` takes one
+(19, 89) spectrum or a stack of them, as the tensor holds.
 
 ``scipy.signal`` is imported inside ``bandpass`` and ``welch``, the two
 functions that use it.  Every CLI stage is a fresh interpreter, and importing
@@ -13,14 +19,11 @@ stages that never filter or estimate a spectrum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import CHANNELS, CZ_INDEX, O1_INDEX, O2_INDEX
 from .edf import Recording
 from .errors import ArgumentError, IngestError
-from .tensor import Tensor3
 
 # fixed spectral grid: 1.0 .. 45.0 Hz in 0.5 Hz steps
 FREQ_GRID = np.linspace(1.0, 45.0, 89)
@@ -55,24 +58,6 @@ _TOTAL, _ALPHA = len(BANDS), len(BANDS) + 1
 PIB_NAMES = tuple(f"{ch}_{band}" for ch in CHANNELS for band, _, _ in BANDS)
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """One contiguous multichannel segment, canonical 19-channel order."""
-
-    samples: np.ndarray  # (19, n)
-    sample_rate: float
-    recording_id: str
-    subject_id: str
-    index: int  # ordinal within the recording, before any rejection
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ArgumentError("epoch samples must be 2-D")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-
 INVALID_SPECTRUM = "psd must be finite and nonnegative"
 
 
@@ -80,27 +65,6 @@ def invalid_spectra(psd: np.ndarray) -> np.ndarray:
     """True for each (S, F) spectrum of a (..., S, F) array that holds a
     negative or non-finite value."""
     return ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
-
-
-@dataclass(frozen=True)
-class EpochSpectrum:
-    """Per-channel PSD on the fixed grid, with provenance."""
-
-    psd: np.ndarray  # (19, 89), uV^2/Hz
-    recording_id: str
-    subject_id: str
-    index: int
-
-    def __post_init__(self):
-        arr = np.array(self.psd, dtype=np.float64, order="C")
-        if arr.shape != (len(CHANNELS), len(FREQ_GRID)):
-            raise ArgumentError(
-                f"psd must have shape {(len(CHANNELS), len(FREQ_GRID))}, got {arr.shape}"
-            )
-        if invalid_spectra(arr):
-            raise ArgumentError(INVALID_SPECTRUM)
-        arr.flags.writeable = False
-        object.__setattr__(self, "psd", arr)
 
 
 def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) -> Recording:
@@ -130,88 +94,72 @@ def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) ->
 
 def epoch_and_reject(
     r: Recording, epoch_seconds: float = 10.0, sigma: float = 2.0
-) -> list[Epoch]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cut contiguous non-overlapping epochs, dropping high-power Cz epochs.
 
-    An epoch is dropped when its Cz total power exceeds mean + sigma*std of
-    the per-epoch Cz powers of this recording (strictly greater, one-sided).
+    Returns the kept epochs as a read-only (k, channels, samples) stack and
+    their ordinals within the recording, counted before rejection.  An epoch
+    is dropped when its Cz total power exceeds mean + sigma*std of the
+    per-epoch Cz powers of this recording (strictly greater, one-sided).
     The sub-epoch remainder at the end of the recording is discarded.
     """
     try:
         cz = r.channel_labels.index("Cz")
     except ValueError:
-        raise IngestError(
-            f"recording {r.recording_id or '<unnamed>'} has no Cz channel; "
-            "run channel selection first"
-        ) from None
+        raise IngestError("has no Cz channel; run channel selection first") from None
     if cz != CZ_INDEX and len(r.channel_labels) == len(CHANNELS):
-        raise IngestError(f"channels of {r.recording_id} are not in canonical order")
+        raise IngestError("has its channels out of canonical order")
     n_per = int(round(epoch_seconds * r.sample_rate))
     n_epochs = r.samples.shape[1] // n_per
     if n_epochs < 2:
-        raise IngestError(
-            f"recording {r.recording_id or '<unnamed>'} holds fewer than 2 epochs "
-            f"({r.duration:.1f} s)"
-        )
+        raise IngestError(f"holds fewer than 2 epochs ({r.duration:.1f} s)")
     segments = r.samples[:, : n_epochs * n_per].reshape(r.n_channels, n_epochs, n_per)
     power = np.sum(segments[cz] ** 2, axis=1)
-    threshold = power.mean() + sigma * power.std()
-    epochs = []
-    for k in range(n_epochs):
-        if power[k] > threshold:
-            continue
-        epochs.append(
-            Epoch(
-                samples=segments[:, k, :],
-                sample_rate=r.sample_rate,
-                recording_id=r.recording_id,
-                subject_id=r.subject_id,
-                index=k,
-            )
-        )
-    return epochs
+    kept = np.flatnonzero(~(power > power.mean() + sigma * power.std()))
+    epochs = segments.transpose(1, 0, 2)[kept]
+    epochs.flags.writeable = False
+    return epochs, kept
 
 
 def select_awake_epochs(
-    epochs: list[Epoch], min_epochs: int = 2, max_epochs: int = 6
-) -> list[Epoch]:
-    """Keep the top-k epochs by posterior relative alpha power.
+    epochs: np.ndarray, sample_rate: float, min_epochs: int = 2, max_epochs: int = 6
+) -> np.ndarray:
+    """Sorted positions of the top-k epochs of a (n, 19, samples) stack by
+    posterior relative alpha power.
 
     The score is the mean over O1 and O2 of (8-12 Hz power) / (1-45 Hz power);
-    k = clamp(len(epochs), min_epochs, max_epochs).  Recordings with fewer
-    than ``min_epochs`` epochs are rejected.  Output preserves temporal order.
+    k = clamp(len(epochs), min_epochs, max_epochs).  A stack of fewer than
+    ``min_epochs`` epochs is rejected.
     """
-    if not epochs:
-        raise ArgumentError("empty epoch list")
+    if len(epochs) == 0:
+        raise ArgumentError("empty epoch stack")
     if len(epochs) < min_epochs:
         raise IngestError(
-            f"recording {epochs[0].recording_id or '<unnamed>'}: "
-            f"{len(epochs)} epochs after rejection, need at least {min_epochs}"
+            f"has {len(epochs)} epochs after rejection, need at least {min_epochs}"
         )
     scores = np.empty(len(epochs))
-    for i, e in enumerate(epochs):
-        power = welch(e).psd[[O1_INDEX, O2_INDEX]] @ _BAND_WEIGHTS
+    for i, samples in enumerate(epochs):
+        power = welch(samples, sample_rate)[[O1_INDEX, O2_INDEX]] @ _BAND_WEIGHTS
         alpha, total = power[:, _ALPHA], power[:, _TOTAL]
         scores[i] = np.mean(np.divide(alpha, total, out=np.zeros(2), where=total > 0))
     k = min(max(len(epochs), min_epochs), max_epochs)
-    picked = np.argsort(-scores, kind="stable")[:k]
-    return [epochs[i] for i in sorted(picked)]
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
-def welch(e: Epoch) -> EpochSpectrum:
-    """Welch PSD per channel: 2-s Hamming segments, 50% overlap, density
-    scaling, linearly interpolated onto the fixed 1.0-45.0 Hz grid."""
+def welch(samples: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Welch PSD of each row of a (channels, samples) epoch: 2-s Hamming
+    segments, 50% overlap, density scaling, linearly interpolated onto the
+    fixed 1.0-45.0 Hz grid; the result has shape (channels, 89), uV^2/Hz."""
     from scipy import signal as sps
 
-    fs = e.sample_rate
-    if fs < 96.0:
-        raise ArgumentError(f"sample rate {fs} Hz cannot support the 45 Hz grid")
-    nperseg = int(round(2.0 * fs))
-    if e.samples.shape[1] < nperseg:
+    if sample_rate < 96.0:
+        raise ArgumentError(f"sample rate {sample_rate} Hz cannot support the 45 Hz grid")
+    nperseg = int(round(2.0 * sample_rate))
+    if samples.shape[1] < nperseg:
         raise ArgumentError("epoch shorter than one Welch segment")
     freqs, psd = sps.welch(
-        e.samples,
-        fs=fs,
+        samples,
+        fs=sample_rate,
         window="hamming",
         nperseg=nperseg,
         noverlap=nperseg // 2,
@@ -219,35 +167,10 @@ def welch(e: Epoch) -> EpochSpectrum:
         scaling="density",
         axis=1,
     )
-    on_grid = np.empty((e.samples.shape[0], len(FREQ_GRID)))
-    for ch in range(e.samples.shape[0]):
+    on_grid = np.empty((samples.shape[0], len(FREQ_GRID)))
+    for ch in range(samples.shape[0]):
         on_grid[ch] = np.interp(FREQ_GRID, freqs, psd[ch])
-    return EpochSpectrum(
-        psd=on_grid,
-        recording_id=e.recording_id,
-        subject_id=e.subject_id,
-        index=e.index,
-    )
-
-
-@dataclass(frozen=True)
-class ProvenanceRow:
-    epoch_row: int
-    subject_id: str
-    recording_id: str
-    epoch_index: int
-
-
-def build_tensor(spectra: list[EpochSpectrum]) -> tuple[Tensor3, list[ProvenanceRow]]:
-    """Stack spectra along mode 0 in input order; returns the epoch map."""
-    if not spectra:
-        raise ArgumentError("no spectra to stack")
-    data = np.stack([s.psd for s in spectra], axis=0)
-    provenance = [
-        ProvenanceRow(i, s.subject_id, s.recording_id, s.index)
-        for i, s in enumerate(spectra)
-    ]
-    return Tensor3(data), provenance
+    return on_grid
 
 
 def pib(psd) -> np.ndarray:

@@ -83,9 +83,9 @@ def diffit(
     extra column) seeds a warm refit, and the previous fit itself is a valid
     floor since padding with a zero component changes nothing.
 
-    Every fit is ALS, whatever ``options.solver`` says: the rank report is
-    defined by ALS fits, and a Gauss-Newton DIFFIT reaches slightly higher
-    fits at the over-factored ranks, which would change ``rank_report.json``.
+    Every fit is ALS: the rank report is defined by ALS fits, and a
+    Gauss-Newton DIFFIT reaches slightly higher fits at the over-factored
+    ranks, which would change ``rank_report.json``.
     """
     if r_max < 3:
         raise ArgumentError(f"r_max must be >= 3, got {r_max}")

@@ -11,7 +11,7 @@ import numpy as np
 from .channels import CHANNELS
 from .edf import Recording
 from .errors import ArgumentError
-from .preprocess import FREQ_GRID, EpochSpectrum
+from .preprocess import FREQ_GRID
 from .tensor import FactorSet, Tensor3
 
 _STYLES = ("random", "physiological")
@@ -87,10 +87,13 @@ def _noise_scaled(rng, shape, signal_norm: float, snr_db: float) -> np.ndarray:
     return noise * (signal_norm / (n_norm * 10.0 ** (snr_db / 20.0)))
 
 
-def make_tensor(spec: SynthSpec) -> tuple[Tensor3, FactorSet]:
-    """Planted-factor tensor plus its ground truth (normalized) FactorSet."""
+def _rng(seed: int, stream: int):
+    return np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), stream]))
+
+
+def _truth_factors(spec: SynthSpec, rng) -> FactorSet:
+    """The planted (normalized) factors, drawn first from ``rng``."""
     E, S, F = spec.dims
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed & (2**63 - 1), 1]))
     A = rng.uniform(0.0, 1.0, size=(E, spec.rank))
     if spec.factor_style == "physiological":
         B, C = physiological_factors()
@@ -103,7 +106,13 @@ def make_tensor(spec: SynthSpec) -> tuple[Tensor3, FactorSet]:
     if spec.factor_style == "random":
         B /= np.linalg.norm(B, axis=0)
         C /= np.linalg.norm(C, axis=0)
-    truth = FactorSet(spec.rank, A, B, C, weights).normalized()
+    return FactorSet(spec.rank, A, B, C, weights).normalized()
+
+
+def make_tensor(spec: SynthSpec) -> tuple[Tensor3, FactorSet]:
+    """Planted-factor tensor plus its ground truth (normalized) FactorSet."""
+    rng = _rng(spec.seed, 1)
+    truth = _truth_factors(spec, rng)
     signal = np.einsum(
         "r,er,sr,fr->esf", truth.weights, truth.A, truth.B, truth.C, optimize=True
     )
@@ -118,9 +127,10 @@ def make_tensor(spec: SynthSpec) -> tuple[Tensor3, FactorSet]:
 class SynthCohort:
     """Labeled spectra with the per-epoch component weights that made them."""
 
-    spectra: list[EpochSpectrum]
+    psd: np.ndarray  # (n_epochs, 19, 89)
+    ids: list[tuple[str, str, int]]  # (subject_id, recording_id, epoch_index) per row
     labels: dict[str, str]  # subject_id -> class label
-    weights: np.ndarray  # (n_epochs, rank), row-aligned with spectra
+    weights: np.ndarray  # (n_epochs, rank), row-aligned with psd
     truth: FactorSet
 
 
@@ -131,6 +141,10 @@ def make_cohort(
     class's Gaussian in ``spec.class_weight_params`` (label -> (means, stds)),
     clipped at 0; spectra are the weighted spatiospectral sums plus noise,
     clipped at 0."""
+    if tuple(spec.dims[1:]) != (len(CHANNELS), len(FREQ_GRID)):
+        raise ArgumentError(
+            f"cohort spectra need dims (*, {len(CHANNELS)}, {len(FREQ_GRID)}), got {spec.dims}"
+        )
     if not spec.class_weight_params:
         raise ArgumentError("class_weight_params must define at least one class")
     for label, count in subjects_per_class.items():
@@ -141,11 +155,11 @@ def make_cohort(
     if epochs_per_subject < 1:
         raise ArgumentError("epochs_per_subject must be >= 1")
 
-    _, truth = make_tensor(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed & (2**63 - 1), 2]))
-    spectra: list[EpochSpectrum] = []
+    # the population tensor's factors, from the head of its stream
+    truth = _truth_factors(spec, _rng(spec.seed, 1))
+    rng = _rng(spec.seed, 2)
+    spectra, ids, rows = [], [], []
     labels: dict[str, str] = {}
-    rows = []
     for label in sorted(subjects_per_class):
         means, stds = (np.asarray(v, dtype=np.float64) for v in spec.class_weight_params[label])
         if means.shape != (spec.rank,) or stds.shape != (spec.rank,):
@@ -162,15 +176,9 @@ def make_cohort(
                     x = x + _noise_scaled(rng, x.shape, np.linalg.norm(x), spec.snr_db)
                     x = np.maximum(x, 0.0)
                 rows.append(w)
-                spectra.append(
-                    EpochSpectrum(
-                        psd=x,
-                        recording_id=f"{subject}_r0",
-                        subject_id=subject,
-                        index=k,
-                    )
-                )
-    return SynthCohort(spectra, labels, np.array(rows), truth)
+                spectra.append(x)
+                ids.append((subject, f"{subject}_r0", k))
+    return SynthCohort(np.array(spectra), ids, labels, np.array(rows), truth)
 
 
 def make_recording(
@@ -183,7 +191,7 @@ def make_recording(
     recording_id: str = "SYN000_r0",
 ) -> Recording:
     """19-channel sinusoid-mix recording for signal-chain and EDF tests."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 3]))
+    rng = _rng(seed, 3)
     n = int(round(sample_rate * duration))
     t = np.arange(n) / sample_rate
     base = np.zeros((len(CHANNELS), n))

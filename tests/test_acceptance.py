@@ -34,7 +34,7 @@ from eegfactor import (
 )
 from eegfactor.channels import CHANNELS
 from eegfactor.cli import main as cli_main
-from eegfactor.preprocess import Epoch, FREQ_GRID
+from eegfactor.preprocess import FREQ_GRID
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -213,10 +213,10 @@ def test_criterion_08_table_analogue():
     res = cpd_gn(t, CpdOptions(rank=3, n_starts=3, tol=1e-12, max_iters=200, seed=1))
     basis = build_basis(res.factors)
     cohort = make_cohort(spec, {"CN": 24, "MCI": 31, "AD": 50}, epochs_per_subject=4)
-    td = np.array([project(basis, s.psd) for s in cohort.spectra])
-    pib_feats = np.array([pib(s.psd) for s in cohort.spectra])
-    subjects = tuple(s.subject_id for s in cohort.spectra)
-    labels = tuple(cohort.labels[s.subject_id] for s in cohort.spectra)
+    td = np.array([project(basis, s) for s in cohort.psd])
+    pib_feats = np.array([pib(s) for s in cohort.psd])
+    subjects = tuple(s for s, _, _ in cohort.ids)
+    labels = tuple(cohort.labels[s] for s, _, _ in cohort.ids)
     ds_td = CohortDataset(td, subjects, labels)
     ds_pib = CohortDataset(pib_feats, subjects, labels)
 
@@ -267,15 +267,11 @@ def test_criterion_09_signal_chain():
     out60 = bandpass(rec60)
     atten_db = 20 * np.log10(rms(rec60.samples[0]) / rms(out60.samples[0]))
 
-    epoch = Epoch(
-        samples=tone10[:, : int(10 * fs)], sample_rate=fs,
-        recording_id="r", subject_id="s", index=0,
-    )
-    spectrum = welch(epoch)
-    peak = float(FREQ_GRID[np.argmax(spectrum.psd[0])])
+    spectrum = welch(tone10[:, : int(10 * fs)], fs)
+    peak = float(FREQ_GRID[np.argmax(spectrum[0])])
     band = (FREQ_GRID >= 9.0) & (FREQ_GRID <= 11.0)
-    integrated = float(np.trapezoid(spectrum.psd[0][band], FREQ_GRID[band]))
-    vec = pib(spectrum.psd)
+    integrated = float(np.trapezoid(spectrum[0][band], FREQ_GRID[band]))
+    vec = pib(spectrum)
     alpha_share = float(vec[2])  # channel 0, alpha band
     sums = vec.reshape(19, 5).sum(axis=1)
     ok = (

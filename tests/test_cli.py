@@ -10,7 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegfactor import ParseError, Tensor3, load_factors, load_tensor, read_manifest, save_tensor
+from eegfactor import (
+    ParseError,
+    Tensor3,
+    bandpass,
+    epoch_and_reject,
+    load_factors,
+    load_tensor,
+    read_edf_file,
+    read_manifest,
+    save_tensor,
+    select_channels,
+    welch,
+)
+from eegfactor import cli
 from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, _sha256, main
 
 CONFIG = """\
@@ -146,6 +159,47 @@ class TestEdfRoute:
         pib_rows = read_csv(wd / "pib.csv")
         assert len(pib_rows) == len(prov)
 
+    def test_provenance_rows_name_tensor_rows(self, workdir):
+        # row i of provenance.csv names the recording (the EDF file's stem),
+        # its subject and the epoch whose spectrum is row i of tensor.bin
+        wd, cfg = workdir
+        cfg.write_text(CONFIG.replace("  filter_order: 8\n", "  filter_order: 8\n  max_epochs: 3\n"))
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        epochs = {}
+        for entry in read_manifest(wd / "manifest.csv"):
+            rec = bandpass(select_channels(read_edf_file(entry.path)))
+            stack, ordinals = epoch_and_reject(rec)
+            epochs[entry.path.stem] = (entry.subject_id, rec.sample_rate,
+                                       dict(zip(ordinals.tolist(), stack)))
+        t = load_tensor(wd / "tensor.bin")
+        prov = read_csv(wd / "provenance.csv")[1:]
+        assert t.dims[0] == len(prov) == 2 * 3
+        assert [r[2] for r in prov] == ["rec_000"] * 3 + ["rec_001"] * 3
+        for i, (row, subject, recording, index) in enumerate(prov):
+            want_subject, fs, by_index = epochs[recording]
+            assert int(row) == i and subject == want_subject
+            np.testing.assert_array_equal(t.data[i], welch(by_index[int(index)], fs))
+
+    def test_skip_warning_names_the_recording(self, workdir, capsys):
+        # a recording with too few epochs to select from is skipped, and the
+        # warning names its file and its recording
+        wd, cfg = workdir
+        cfg.write_text(CONFIG.replace("  filter_order: 8\n",
+                                      "  filter_order: 8\n  min_epochs: 6\n  max_epochs: 6\n"))
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 2
+        err = capsys.readouterr().err
+        for name in ("rec_000", "rec_001"):
+            assert f"warning: skipping {name}.edf: recording {name} has " in err
+        assert "need at least 6" in err
+        assert "no recording in the manifest survived preprocessing" in err
+
     def test_project_via_manifest(self, workdir):
         wd, cfg = workdir
         base = ["--config", str(cfg), "--workdir", str(wd)]
@@ -173,6 +227,53 @@ class TestErrors:
         code = run("--config", str(cfg), "--workdir", str(wd), "diffit")
         assert code == 2
         assert "preprocess" in capsys.readouterr().err
+
+    def test_bad_solver(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("cpd:\n  solver: NEWTON\n")
+        assert run("--config", str(cfg), "--workdir", str(tmp_path / "w"), "report") == 1
+        assert "solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,fit", [("ALS", "cpd_als"), ("GN", "cpd_gn")])
+    def test_config_solver_chooses_fit(self, workdir, monkeypatch, solver, fit):
+        wd, cfg = workdir
+        cfg.write_text(CONFIG.replace("cpd:\n", f"cpd:\n  solver: {solver}\n"))
+        assert run("--config", str(cfg), "--workdir", str(wd), "synth",
+                   "--mode", "tensor", "--dims", "10", "19", "89") == 0
+        calls = []
+        real = getattr(cli, fit)
+        monkeypatch.setattr(cli, fit, lambda *a: calls.append(fit) or real(*a))
+        assert run("--config", str(cfg), "--workdir", str(wd), "decompose", "--rank", "2") == 0
+        assert calls == [fit]
+        assert json.loads((wd / "decompose_meta.json").read_text())["solver"] == solver
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(b"cpd:\n  rank: 3\xff\n")
+        assert run("--config", str(cfg), "--workdir", str(tmp_path / "w"), "report") == 1
+        assert "bad.yaml is not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "conf").mkdir()
+        code = run("--config", str(tmp_path / "conf"), "--workdir", str(tmp_path / "w"), "report")
+        assert code == 1
+        assert f"--config names no file: {tmp_path / 'conf'}" in capsys.readouterr().err
+
+    def test_labels_directory_names_flag(self, workdir, capsys):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "weights.csv").write_text("subject_id,recording_id,epoch_index,w1\ns0,r0,0,0.1\n")
+        (wd / "labels").mkdir()
+        code = run("--config", str(cfg), "--workdir", str(wd), "classify",
+                   "--labels", str(wd / "labels"))
+        assert code == 2
+        assert f"--labels names no file: {wd / 'labels'}" in capsys.readouterr().err
+
+    def test_tensor_directory_names_producer(self, workdir, capsys):
+        wd, cfg = workdir
+        (wd / "tensor.bin").mkdir(parents=True)
+        assert run("--config", str(cfg), "--workdir", str(wd), "diffit") == 2
+        assert "missing tensor.bin; run `preprocess` first" in capsys.readouterr().err
 
     def test_bad_config_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -498,7 +599,7 @@ class TestImportCost:
             "import sys\n"
             "from eegfactor import CpdOptions, SynthSpec, cpd_gn, make_tensor\n"
             "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
-            "res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, max_iters=10, solver='GN'))\n"
+            "res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, max_iters=10))\n"
             "assert res.iterations > 0\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )

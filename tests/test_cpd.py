@@ -32,10 +32,6 @@ class TestOptions:
         with pytest.raises(ArgumentError):
             CpdOptions(rank=1, tol=0.0)
 
-    def test_bad_solver(self):
-        with pytest.raises(ArgumentError):
-            CpdOptions(rank=1, solver="NEWTON")
-
     def test_rank_cap(self, planted_small):
         t, _ = planted_small
         cap = min(19 * 89, 40 * 89, 40 * 19)
@@ -254,7 +250,7 @@ class TestHessianPieces:
         real_step, seen = cpd_module._gn_step, []
         monkeypatch.setattr(cpd_module, "_gn_step", lambda *a: seen.append(a) or real_step(*a))
         t, _ = make_tensor(SynthSpec(dims=(20, 19, 89), rank=3, snr_db=20, seed=1))
-        cpd_gn(t, CpdOptions(rank=5, max_iters=30, n_starts=1, seed=0, solver="GN"))
+        cpd_gn(t, CpdOptions(rank=5, max_iters=30, n_starts=1, seed=0))
         checked = 0
         for args in seen:
             A, B, C, _, _, _, gA, gB, gC, mu = args

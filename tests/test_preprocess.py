@@ -3,11 +3,9 @@ import pytest
 
 from eegfactor import (
     ArgumentError,
-    Epoch,
     IngestError,
     Recording,
     bandpass,
-    build_tensor,
     epoch_and_reject,
     make_recording,
     pib,
@@ -89,23 +87,22 @@ class TestEpochAndReject:
         samples[CZ_INDEX, burst] *= 10.0
         noisy = Recording(samples=samples, sample_rate=FS, channel_labels=CHANNELS,
                           recording_id="burst", subject_id="s0")
-        kept = epoch_and_reject(noisy)
-        indices = [e.index for e in kept]
+        indices = list(epoch_and_reject(noisy)[1])
         assert 2 not in indices
         assert indices == [0, 1, 3, 4, 5]
 
     def test_homogeneous_recording_keeps_all(self):
         x = np.tile(np.sin(2 * np.pi * 10.0 * np.arange(int(40 * FS)) / FS), (19, 1))
         rec = Recording(samples=x, sample_rate=FS, channel_labels=CHANNELS)
-        kept = epoch_and_reject(rec)
+        kept, _ = epoch_and_reject(rec)
         assert len(kept) == 4
 
     def test_25s_recording_gives_two_epochs(self):
         x = np.tile(np.sin(2 * np.pi * 10.0 * np.arange(int(25 * FS)) / FS), (19, 1))
         rec = Recording(samples=x, sample_rate=FS, channel_labels=CHANNELS)
-        kept = epoch_and_reject(rec)
+        kept, _ = epoch_and_reject(rec)
         assert len(kept) == 2
-        assert kept[0].samples.shape[1] == int(10 * FS)
+        assert kept[0].shape[1] == int(10 * FS)
 
     def test_too_short_rejected(self):
         rec = Recording(
@@ -118,19 +115,20 @@ class TestEpochAndReject:
         # Gaussian-tail sanity: >= 60% of epochs survive on clean recordings
         for seed in range(10):
             rec = make_recording(seed=seed, duration=80.0, noise_uv=2.0)
-            kept = epoch_and_reject(bandpass(rec))
+            kept, _ = epoch_and_reject(bandpass(rec))
             assert len(kept) >= 0.6 * 8
 
     def test_provenance_indices(self):
         rec = make_recording(seed=2, duration=40.0)
-        kept = epoch_and_reject(rec)
-        for e in kept:
-            assert e.recording_id == rec.recording_id
-            assert 0 <= e.index < 4
+        kept, indices = epoch_and_reject(rec)
+        assert len(indices) == len(kept)
+        for index in indices:
+            assert 0 <= index < 4
 
 
 def make_epochs(n, alpha_indices, fs=FS, seed=0):
-    """n 10-s epochs; those in alpha_indices get a strong 10 Hz posterior tone."""
+    """A stack of n 10-s epochs; those in alpha_indices get a strong 10 Hz
+    posterior tone."""
     rng = np.random.default_rng(seed)
     epochs = []
     t = np.arange(int(10 * fs)) / fs
@@ -140,26 +138,24 @@ def make_epochs(n, alpha_indices, fs=FS, seed=0):
             tone = 8.0 * np.sin(2 * np.pi * 10.0 * t)
             samples[O1_INDEX] += tone
             samples[O2_INDEX] += tone
-        epochs.append(
-            Epoch(samples=samples, sample_rate=fs, recording_id="r0", subject_id="s0", index=i)
-        )
-    return epochs
+        epochs.append(samples)
+    return np.array(epochs)
 
 
 class TestSelectAwakeEpochs:
     def test_strong_alpha_epochs_selected(self):
         epochs = make_epochs(10, alpha_indices={1, 4, 6, 8})
-        picked = select_awake_epochs(epochs)
+        picked = select_awake_epochs(epochs, FS)
         assert len(picked) == 6
-        picked_idx = {e.index for e in picked}
+        picked_idx = set(picked)
         assert {1, 4, 6, 8} <= picked_idx
 
     def test_selection_matches_score_ranking(self):
         epochs = make_epochs(9, alpha_indices={0, 2})
-        picked = select_awake_epochs(epochs)
+        picked = select_awake_epochs(epochs, FS)
         scores = []
         for e in epochs:
-            psd = welch(e).psd
+            psd = welch(e, FS)
             share = 0.0
             for ch in (O1_INDEX, O2_INDEX):
                 band = np.trapezoid(psd[ch][(FREQ_GRID >= 8) & (FREQ_GRID <= 12)],
@@ -168,44 +164,38 @@ class TestSelectAwakeEpochs:
                 share += band / total / 2
             scores.append(share)
         expected = set(np.argsort(-np.array(scores), kind="stable")[:6])
-        assert {e.index for e in picked} == expected
+        assert set(picked) == expected
 
     def test_exactly_two_kept(self):
         epochs = make_epochs(2, alpha_indices=set())
-        assert len(select_awake_epochs(epochs)) == 2
+        assert len(select_awake_epochs(epochs, FS)) == 2
 
     def test_three_epochs_all_kept(self):
         epochs = make_epochs(3, alpha_indices={0})
-        assert len(select_awake_epochs(epochs)) == 3
+        assert len(select_awake_epochs(epochs, FS)) == 3
 
     def test_single_epoch_rejected(self):
         epochs = make_epochs(1, alpha_indices=set())
-        with pytest.raises(IngestError) as exc:
-            select_awake_epochs(epochs)
-        assert "r0" in str(exc.value)
+        with pytest.raises(IngestError):
+            select_awake_epochs(epochs, FS)
 
     def test_temporal_order_preserved(self):
         epochs = make_epochs(10, alpha_indices={9, 0, 5})
-        picked = select_awake_epochs(epochs)
-        indices = [e.index for e in picked]
+        indices = list(select_awake_epochs(epochs, FS))
         assert indices == sorted(indices)
 
 
-def tone_epoch(freq, amp=1.0, fs=FS, index=0):
+def tone_epoch(freq, amp=1.0, fs=FS):
     t = np.arange(int(10 * fs)) / fs
-    x = amp * np.sin(2 * np.pi * freq * t)
-    return Epoch(
-        samples=np.tile(x, (19, 1)), sample_rate=fs, recording_id="r0",
-        subject_id="s0", index=index,
-    )
+    return np.tile(amp * np.sin(2 * np.pi * freq * t), (19, 1))
 
 
 class TestWelch:
     def test_pure_tone_peak_and_power(self):
-        spec = welch(tone_epoch(10.0))
-        assert FREQ_GRID[np.argmax(spec.psd[0])] == 10.0
+        psd = welch(tone_epoch(10.0), FS)
+        assert FREQ_GRID[np.argmax(psd[0])] == 10.0
         band = (FREQ_GRID >= 9.0) & (FREQ_GRID <= 11.0)
-        integrated = np.trapezoid(spec.psd[0][band], FREQ_GRID[band])
+        integrated = np.trapezoid(psd[0][band], FREQ_GRID[band])
         assert abs(integrated - 0.5) < 0.05  # sinusoid variance is 1/2
 
     def test_white_noise_flat_and_parseval(self):
@@ -213,11 +203,7 @@ class TestWelch:
         levels = []
         totals = []
         for _ in range(100):
-            e = Epoch(
-                samples=rng.standard_normal((19, int(10 * FS))),
-                sample_rate=FS, recording_id="r", subject_id="s", index=0,
-            )
-            psd = welch(e).psd
+            psd = welch(rng.standard_normal((19, int(10 * FS))), FS)
             levels.append(psd.mean(axis=0))
             totals.append(np.trapezoid(psd, FREQ_GRID, axis=1).mean())
         mean_level = np.mean(levels, axis=0)
@@ -227,97 +213,49 @@ class TestWelch:
         assert abs(np.mean(totals) - expected_total) < 0.1 * expected_total
 
     def test_zero_signal(self):
-        e = Epoch(
-            samples=np.zeros((19, int(10 * FS))), sample_rate=FS,
-            recording_id="r", subject_id="s", index=0,
-        )
-        assert np.all(welch(e).psd == 0.0)
+        assert np.all(welch(np.zeros((19, int(10 * FS))), FS) == 0.0)
 
     def test_low_rate_rejected(self):
-        e = Epoch(
-            samples=np.zeros((19, 900)), sample_rate=90.0,
-            recording_id="r", subject_id="s", index=0,
-        )
         with pytest.raises(ArgumentError):
-            welch(e)
+            welch(np.zeros((19, 900)), 90.0)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            e = Epoch(
-                samples=rng.standard_normal((19, int(10 * FS))) * 40,
-                sample_rate=FS, recording_id="r", subject_id="s", index=0,
-            )
-            assert np.all(welch(e).psd >= 0.0)
+            assert np.all(welch(rng.standard_normal((19, int(10 * FS))) * 40, FS) >= 0.0)
 
     def test_determinism(self):
         rec = make_recording(seed=3, duration=30.0)
-        e1 = [welch(e).psd for e in epoch_and_reject(bandpass(rec))]
-        e2 = [welch(e).psd for e in epoch_and_reject(bandpass(rec))]
+        e1 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec))[0]]
+        e2 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec))[0]]
         for a, b in zip(e1, e2):
             np.testing.assert_array_equal(a, b)
 
 
-class TestBuildTensor:
-    def test_stacking_order_and_slices(self):
-        specs = [welch(tone_epoch(5.0 * (i + 1), index=i)) for i in range(3)]
-        t, prov = build_tensor(specs)
-        assert t.dims == (3, 19, 89)
-        for i, s in enumerate(specs):
-            np.testing.assert_array_equal(t.data[i], s.psd)
-            assert prov[i].epoch_row == i
-            assert prov[i].epoch_index == i
-
-    def test_empty_rejected(self):
-        with pytest.raises(ArgumentError):
-            build_tensor([])
-
-    def test_population_epoch_budget(self):
-        # a manifest of R recordings yields between 2R and 6R epochs
-        for recordings, low, high in ((2342, 4684, 14052), (10, 20, 60)):
-            assert low == 2 * recordings
-            assert high == 6 * recordings
-
-
 class TestPib:
     def test_pure_alpha_channel(self):
-        spec = welch(tone_epoch(10.0))
-        v = pib(spec.psd)
+        v = pib(welch(tone_epoch(10.0), FS))
         alpha_idx = [i for i, (name, _, _) in enumerate(BANDS) if name == "alpha"][0]
         assert v[alpha_idx] > 0.9
 
     def test_flat_spectrum_shares(self):
-        from eegfactor import EpochSpectrum
-
-        flat = EpochSpectrum(
-            psd=np.ones((19, 89)), recording_id="r", subject_id="s", index=0
-        )
-        v = pib(flat.psd)
+        v = pib(np.ones((19, 89)))
         expected = np.array([3, 4, 5, 12, 20]) / 44.0
         np.testing.assert_allclose(v[:5], expected, rtol=1e-12)
 
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(3)
-        from eegfactor import EpochSpectrum
-
-        spec = EpochSpectrum(
-            psd=rng.uniform(0.1, 2.0, (19, 89)), recording_id="r", subject_id="s", index=0
-        )
-        v = pib(spec.psd)
+        v = pib(rng.uniform(0.1, 2.0, (19, 89)))
         sums = v.reshape(19, 5).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_feature_dim_is_95(self):
-        spec = welch(tone_epoch(10.0))
-        assert pib(spec.psd).shape == (95,)
+        assert pib(welch(tone_epoch(10.0), FS)).shape == (95,)
         assert len(PIB_NAMES) == 95
 
     def test_zero_channel_named(self):
-        from eegfactor import EpochSpectrum
-
         psd = np.ones((19, 89))
         psd[CHANNELS.index("F7")] = 0.0
-        spec = EpochSpectrum(psd=psd, recording_id="r", subject_id="s", index=0)
         with pytest.raises(IngestError) as exc:
-            pib(spec.psd)
+            pib(psd)
         assert "F7" in str(exc.value)

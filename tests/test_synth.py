@@ -13,6 +13,7 @@ from eegfactor import (
     project,
     relative_error,
 )
+from eegfactor import synth
 from eegfactor.preprocess import FREQ_GRID
 
 CLASS_PARAMS = {
@@ -79,30 +80,52 @@ class TestMakeCohort:
 
     def test_shapes_and_labels(self):
         cohort = make_cohort(self.spec(), {"CN": 3, "AD": 4}, epochs_per_subject=2)
-        assert len(cohort.spectra) == 14
+        assert len(cohort.ids) == 14
+        assert cohort.psd.shape == (14, 19, 89)
         assert cohort.weights.shape == (14, 3)
         assert set(cohort.labels.values()) == {"CN", "AD"}
         assert sum(1 for l in cohort.labels.values() if l == "AD") == 4
 
     def test_spectra_nonnegative_and_finite(self):
         cohort = make_cohort(self.spec(snr=5.0), {"CN": 2, "AD": 2})
-        for s in cohort.spectra:
-            assert np.all(s.psd >= 0.0)
-            assert np.all(np.isfinite(s.psd))
+        for s in cohort.psd:
+            assert np.all(s >= 0.0)
+            assert np.all(np.isfinite(s))
 
     def test_noiseless_weights_recoverable(self):
         cohort = make_cohort(self.spec(), {"CN": 3, "AD": 3}, epochs_per_subject=3)
         basis = build_basis(cohort.truth)
-        for s, w_true in zip(cohort.spectra, cohort.weights):
-            w = project(basis, s.psd)
+        for s, w_true in zip(cohort.psd, cohort.weights):
+            w = project(basis, s)
             np.testing.assert_allclose(w, w_true, atol=1e-6)
 
     def test_seeded_determinism(self):
         c1 = make_cohort(self.spec(seed=7), {"CN": 2, "AD": 2})
         c2 = make_cohort(self.spec(seed=7), {"CN": 2, "AD": 2})
         np.testing.assert_array_equal(c1.weights, c2.weights)
-        for a, b in zip(c1.spectra, c2.spectra):
-            np.testing.assert_array_equal(a.psd, b.psd)
+        for a, b in zip(c1.psd, c2.psd):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("style,rank", [("physiological", 3), ("random", 2)])
+    def test_truth_is_the_population_tensors(self, monkeypatch, style, rank):
+        # the cohort's spectra are built on the population tensor's factors,
+        # drawn without building that tensor once more
+        spec = SynthSpec(
+            dims=(10, 19, 89), rank=rank, snr_db=20.0, factor_style=style,
+            class_weight_params={k: (m[:rank], s[:rank]) for k, (m, s) in CLASS_PARAMS.items()},
+            seed=11,
+        )
+        _, truth = make_tensor(spec)
+        monkeypatch.setattr(synth, "make_tensor", None)
+        cohort = make_cohort(spec, {"CN": 2, "AD": 2})
+        for name in ("A", "B", "C", "weights"):
+            np.testing.assert_array_equal(getattr(cohort.truth, name), getattr(truth, name))
+
+    def test_ids_name_subject_recording_and_epoch(self):
+        cohort = make_cohort(self.spec(), {"CN": 2, "AD": 2}, epochs_per_subject=2)
+        assert cohort.ids[:3] == [("AD000", "AD000_r0", 0), ("AD000", "AD000_r0", 1),
+                                  ("AD001", "AD001_r0", 0)]
+        assert all(cohort.labels[s] == s[:2] for s, _, _ in cohort.ids)
 
     def test_too_few_subjects_rejected(self):
         with pytest.raises(ArgumentError):
