@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .preprocess import (
     INVALID_SPECTRUM,
     PIB_NAMES,
     bandpass,
+    check_sample_rate,
     epoch_and_reject,
     invalid_spectra,
     pib,
@@ -400,9 +402,10 @@ def _preprocess_recording(entry, cfg):
     ids name the recording by its file stem and the entry's subject."""
     pp = cfg["preprocess"]
     rec = select_channels(read_edf_file(entry.path))
-    rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
     recording_id = entry.path.stem
     try:
+        check_sample_rate(rec.sample_rate, pp["band_hi_hz"])
+        rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
         epochs, ordinals = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
         picked = select_awake_epochs(epochs, rec.sample_rate, pp["min_epochs"],
                                      pp["max_epochs"])
@@ -510,6 +513,7 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
             "iterations": result.iterations,
             "converged": result.converged,
             "start_index": result.start_index,
+            "starts": [asdict(s) for s in result.starts],
             "trace": list(result.trace),
         }
     )

@@ -1,24 +1,32 @@
 """CPD fitting: alternating least squares and damped Gauss-Newton.
 
-One best-of-starts loop, ``_best_of_starts``, runs both solvers: it builds
-the seeded uniform(0,1) starts (or takes the one forced ``init``), scores
-each start with the Gram identity (``_gram_error``: the factor Gramians and
-a mode-2 MTTKRP, not a full reconstruction), stops a start on relative fit
-change, and returns the best start's canonically normalized factors.  A
-solver supplies only its update, which scores its iterates the same way:
-``_als_sweeps`` (Cholesky-solved ALS sweeps) or ``_gn_steps``
-(Levenberg-Marquardt on the stacked factor vector).  At every problem size
-GN takes the exact damped step, solving the normal equations through a
-3r^2 x 3r^2 system in the products dn^T n that couple the three modes
-(``_gn_step``); neither the Jacobian over all tensor entries nor the
-r(E+S+F)-square normal matrix is ever materialized.
+Both solvers run through one start loop, ``_best_of_starts``.  It builds the
+seeded uniform(0,1) starts (or takes the one forced ``init``) and advances
+them all in lockstep: each round, every live start takes one update, and the
+update's two large GEMMs, the partial product T = A^T X_(0) and the mode-0
+MTTKRP, run once over the stack of live starts, so a round reads the tensor
+once or twice whatever the number of starts (batched BLAS; Dongarra et al.,
+ICCS 2017).  Each start is scored with the Gram identity (``_gram_error``:
+the factor Gramians and a mode-2 MTTKRP, not a full reconstruction), keeps
+its own damping, trace, stopping rule and iteration cap, and drops out of
+the stack when it stops.  The loop returns the best start's canonically
+normalized factors and a record of every start.
+
+A solver supplies only its round: ``_als_round`` (one Cholesky-solved ALS
+sweep per start) or ``_gn_round`` (one Levenberg-Marquardt trial per start
+on the concatenated factor vector).  At every problem size GN takes the exact
+damped step, solving the normal equations through a 3r^2 x 3r^2 system in
+the products dn^T n that couple the three modes (``_gn_step``); neither the
+Jacobian over all tensor entries nor the r(E+S+F)-square normal matrix is
+ever materialized.  The 3r^2 x 3r^2 systems are solved start by start;
+the r x r ALS Gramians are factored as one stack (``_gram_solve``).
 
 Both solvers work on raw ``(A, B, C)`` arrays and numpy alone; their
-MTTKRPs are calls to ``mttkrp`` (one shared partial product per ALS sweep
-and per GN step, see ``tensor.mttkrp``).  Only ``factor_match_score``
-imports scipy (``linear_sum_assignment``), inside the function: every CLI
-stage is a fresh interpreter, and a module-level import would charge the
-``diffit`` and ``decompose`` stages for loading ``scipy.optimize``.
+MTTKRPs are calls to ``mttkrp`` on stacks of factors (see
+``tensor.mttkrp``).  Only ``factor_match_score`` imports scipy
+(``linear_sum_assignment``), inside the function: every CLI stage is a fresh
+interpreter, and a module-level import would charge the ``diffit`` and
+``decompose`` stages for loading ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -58,6 +66,17 @@ class CpdOptions:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """How one start of a fit went: its updates, its verdict, the fit of its
+    last iterate (by the Gram identity) and whether a Gramian was ridged."""
+
+    iterations: int
+    converged: bool
+    fit: float
+    gram_regularized: bool
+
+
+@dataclass(frozen=True)
 class CpdResult:
     factors: FactorSet
     rel_error: float
@@ -67,6 +86,7 @@ class CpdResult:
     trace: tuple[float, ...]
     gram_regularized: bool = False
     start_index: int = 0
+    starts: tuple[StartRecord, ...] = ()
 
 
 def _validate_problem(t: Tensor3, rank: int):
@@ -111,102 +131,145 @@ def _rebalance(A, B, C):
     return A, B, C
 
 
-def _gram_solve(M, P, Q):
-    """M G^-1 for the ALS Gramian G = (P^T P) * (Q^T Q), by Cholesky.
+def _cholesky(G):
+    """Cholesky factor of the ALS Gramian G, and whether it needed a ridge.
 
     A G whose factorization fails gets a small ridge relative to its scale,
-    so a large singular G is ridged too.  Returns the solution and whether
-    the ridge was needed.
-    """
-    G = (P.T @ P) * (Q.T @ Q)
+    so a large singular G is ridged too."""
     try:
-        L, ridged = np.linalg.cholesky(G), False
+        return np.linalg.cholesky(G), False
     except np.linalg.LinAlgError:
         ridge = _GRAM_RIDGE * max(1.0, G.diagonal().max())
-        L, ridged = np.linalg.cholesky(G + ridge * np.eye(len(G))), True
+        return np.linalg.cholesky(G + ridge * np.eye(len(G))), True
+
+
+def _gram_solve(M, P, Q):
+    """M G^-1 for each start's ALS Gramian G = (P^T P) * (Q^T Q).
+
+    M, P and Q are (k, d, r) stacks.  The k Gramians are factored in one
+    call; when any of them fails, each is factored on its own by
+    ``_cholesky``.  Returns the solutions and, per start, whether the ridge
+    was needed.
+    """
+    G = (P.mT @ P) * (Q.mT @ Q)
+    try:
+        L, ridged = np.linalg.cholesky(G), np.zeros(len(G), dtype=bool)
+    except np.linalg.LinAlgError:
+        L, ridged = (np.array(x) for x in zip(*map(_cholesky, G)))
     Linv = np.linalg.inv(L)
-    return M @ (Linv.T @ Linv), ridged
+    return M @ (Linv.mT @ Linv), ridged
 
 
-def _best_of_starts(t: Tensor3, opts: CpdOptions, init, updates) -> CpdResult:
-    """Fit every start with one solver's ``updates`` and keep the best.
+class _Start:
+    """One start of a fit: its iterate, its record, and the solver's state."""
 
-    ``updates(t, normX, factors, T, MC, Z, err)`` receives a scored start
-    (the factors, their partial product T and mode-2 MTTKRP, Gramians and
-    relative error) and yields ``(factors, err, gram_regularized)`` once per
-    iteration.  Returning instead ends the start with a verdict: True when
-    the solver stalled at the accuracy limit, False when it could not
-    descend.
+    def __init__(self, opts: CpdOptions, X, MB, MC, scored):
+        self.opts = opts
+        self.X = X
+        self.MB, self.MC = MB, MC
+        self.err, self.Z = scored
+        self.fit = 1.0 - self.err * self.err
+        self.trace = [self.err]
+        self.converged = self.err < _EXACT_ERROR
+        self.running = not self.converged
+        self.regularized = False
+        # Gauss-Newton: damping, gradient at X (None until computed), and the
+        # smallest error of the trials rejected since the last step
+        self.mu = _MU_INIT
+        self.g = None
+        self.best_trial = np.inf
+
+    def record(self, err: float):
+        """Take the error of an accepted update and apply the stopping rule:
+        relative fit change below ``tol``, or ``max_iters`` updates."""
+        fit = 1.0 - err * err
+        self.trace.append(err)
+        self.converged = abs(fit - self.fit) < self.opts.tol * max(fit, 1e-12)
+        self.err, self.fit = err, fit
+        self.running = not self.converged and len(self.trace) <= self.opts.max_iters
+
+    def stop(self, converged: bool):
+        """End the start without a new iterate: True when the solver stalled
+        at the accuracy limit, False when it could not descend."""
+        self.converged, self.running = converged, False
+
+
+def _stack(factor_sets):
+    """The (k, d, r) stacks of the A, B and C of k factor triples."""
+    return tuple(np.stack(Ms) for Ms in zip(*factor_sets))
+
+
+def _score(t: Tensor3, normX: float, A, B, C):
+    """Mode-1 and mode-2 MTTKRPs of the (k, d, r) stacks from one partial
+    product, and each start's Gram-identity error and Gramians."""
+    T = partial_product(t, A)
+    MB = mttkrp(t, (A, B, C), 1, T)
+    MC = mttkrp(t, (A, B, C), 2, T)
+    return MB, MC, [_gram_error(t, normX, *X, mc) for *X, mc in zip(A, B, C, MC)]
+
+
+def _best_of_starts(t: Tensor3, opts: CpdOptions, init, advance) -> CpdResult:
+    """Fit every start with one solver's rounds and keep the best.
+
+    ``advance(t, normX, live)`` gives every live start one update: a start
+    that reaches a new iterate passes its error to ``record``, one that
+    cannot go on calls ``stop``, and one whose trial failed just stays live.
+    The best start is the first one with the highest fit.
     """
     _validate_problem(t, opts.rank)
     rank, normX = opts.rank, t.norm()
-    if init is not None:
-        starts = [init]
+    if init is None:
+        inits = [_uniform_init(t.dims, rank, opts.seed, s) for s in range(opts.n_starts)]
     else:
-        starts = (_uniform_init(t.dims, rank, opts.seed, s) for s in range(opts.n_starts))
-    best = None
-    for start, start_factors in enumerate(starts):
-        X = tuple(np.array(M, dtype=np.float64) for M in start_factors)
-        shapes = tuple(M.shape for M in X)
+        inits = [tuple(np.asarray(M, dtype=np.float64) for M in init)]
+        shapes = tuple(M.shape for M in inits[0])
         if shapes != tuple((d, rank) for d in t.dims):
             raise ArgumentError(f"start factor shapes {shapes} do not match dims {t.dims} "
                                 f"at rank {rank}")
-        T = partial_product(t, X[0])
-        MC = mttkrp(t, X, 2, T)
-        err, Z = _gram_error(t, normX, *X, MC)
-        fit = 1.0 - err * err
-        trace = [err]
-        converged = err < _EXACT_ERROR
-        regularized = False
-        steps = updates(t, normX, X, T, MC, Z, err)
-        while not converged and len(trace) <= opts.max_iters:
-            try:
-                X, err, regularized = next(steps)
-            except StopIteration as stall:
-                converged = stall.value
-                break
-            new_fit = 1.0 - err * err
-            trace.append(err)
-            converged = abs(new_fit - fit) < opts.tol * max(new_fit, 1e-12)
-            fit = new_fit
-        if best is None or fit > best[0]:
-            best = (fit, start, X, trace, converged, regularized)
-    fit, start, X, trace, converged, regularized = best
-    fs = FactorSet(rank, *X, np.ones(rank)).normalized()
+    A, B, C = _stack(inits)
+    MB, MC, scored = _score(t, normX, A, B, C)
+    starts = [_Start(opts, *s) for s in zip(zip(A, B, C), MB, MC, scored)]
+    live = [s for s in starts if s.running]
+    while live:
+        advance(t, normX, live)
+        live = [s for s in live if s.running]
+    best = max(starts, key=lambda s: s.fit)
+    fs = FactorSet(rank, *best.X, np.ones(rank)).normalized()
     rel = relative_error(t, fs)
     return CpdResult(
         factors=fs,
         rel_error=rel,
         fit=1.0 - rel * rel,
-        iterations=len(trace) - 1,
-        converged=converged,
-        trace=tuple(trace),
-        gram_regularized=regularized,
-        start_index=start,
+        iterations=len(best.trace) - 1,
+        converged=best.converged,
+        trace=tuple(best.trace),
+        gram_regularized=best.regularized,
+        start_index=starts.index(best),
+        starts=tuple(StartRecord(len(s.trace) - 1, s.converged, s.fit, s.regularized)
+                     for s in starts),
     )
 
 
 # ---------------------------------------------------------------------------
 # ALS
 
-def _als_sweeps(t: Tensor3, normX: float, X, T, MC, Z, err):
-    """ALS sweeps from the start X; only the start's factors are needed.
+def _als_round(t: Tensor3, normX: float, live):
+    """One ALS sweep for every live start, over the stacks of their factors.
 
     The partial product T of the updated A serves the B and the C update.
     """
-    A, B, C = X
-    regularized = False
-    while True:
-        A, ridged_a = _gram_solve(mttkrp(t, (A, B, C), 0), B, C)
-        T = partial_product(t, A)
-        B, ridged_b = _gram_solve(mttkrp(t, (A, B, C), 1, T), A, C)
-        MC = mttkrp(t, (A, B, C), 2, T)
-        C, ridged_c = _gram_solve(MC, A, B)
-        regularized = regularized or ridged_a or ridged_b or ridged_c
-        # MC is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
-        err, _ = _gram_error(t, normX, A, B, C, MC)
-        _rebalance(A, B, C)
-        yield (A, B, C), err, regularized
+    A, B, C = _stack([s.X for s in live])
+    A, ridged_a = _gram_solve(mttkrp(t, (A, B, C), 0), B, C)
+    T = partial_product(t, A)
+    B, ridged_b = _gram_solve(mttkrp(t, (A, B, C), 1, T), A, C)
+    MC = mttkrp(t, (A, B, C), 2, T)
+    C, ridged_c = _gram_solve(MC, A, B)
+    for s, *X, mc, ridged in zip(live, A, B, C, MC, ridged_a | ridged_b | ridged_c):
+        # mc is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
+        err, _ = _gram_error(t, normX, *X, mc)
+        s.X = _rebalance(*X)
+        s.regularized = s.regularized or bool(ridged)
+        s.record(err)
 
 
 def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -217,7 +280,7 @@ def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     factorization fails.  Each sweep is scored with the Gram identity from
     the mode-2 MTTKRP of its own update, so no sweep reconstructs the tensor.
     """
-    return _best_of_starts(t, opts, init, _als_sweeps)
+    return _best_of_starts(t, opts, init, _als_round)
 
 
 # ---------------------------------------------------------------------------
@@ -277,45 +340,54 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     return tuple(dn + en for dn, en in zip(d, solve(res)))
 
 
-def _gn_steps(t: Tensor3, normX: float, X, T, MC, Z, err):
-    """Accepted damped Gauss-Newton steps from the scored start X.
+def _gn_round(t: Tensor3, normX: float, live):
+    """One damped Gauss-Newton trial for every live start.
 
-    MC, the mode-2 MTTKRP that scored the iterate, is its mode-2 gradient
-    term, and the partial product T behind it gives the mode-1 term.  A
-    rejected trial raises the damping tenfold; once it passes ``_MU_MAX``
-    the start ends, converged when no trial did worse than the iterate
-    beyond roundoff.
+    A start that has just stepped first gets its gradient: its mode-0 term
+    comes from one MTTKRP over all such starts, and its mode-1 and mode-2
+    terms are the MTTKRPs that scored the iterate.  The trials are scored
+    together; an accepted trial lowers the damping tenfold, and a rejected
+    or singular one raises it (``_raise_damping``).
     """
-    A, B, C = X
-    ZA, ZB, ZC = Z
-    mu = _MU_INIT
-    while True:
-        gA = A @ (ZB * ZC) - mttkrp(t, (A, B, C), 0)
-        gB = B @ (ZA * ZC) - mttkrp(t, (A, B, C), 1, T)
-        gC = C @ (ZA * ZB) - MC
-        best_trial = np.inf
-        while mu <= _MU_MAX:
+    fresh = [s for s in live if s.g is None]
+    if fresh:
+        for s, ma in zip(fresh, mttkrp(t, _stack([s.X for s in fresh]), 0)):
+            (A, B, C), (ZA, ZB, ZC) = s.X, s.Z
+            s.g = (A @ (ZB * ZC) - ma, B @ (ZA * ZC) - s.MB, C @ (ZA * ZB) - s.MC)
+    tried, trials = [], []
+    for s in live:
+        while s.running:
             try:
-                dA, dB, dC = _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu)
+                step = _gn_step(*s.X, *s.Z, *s.g, s.mu)
             except np.linalg.LinAlgError:
-                mu *= 10.0
+                _raise_damping(s)
                 continue
-            A2, B2, C2 = A + dA, B + dB, C + dC
-            T2 = partial_product(t, A2)
-            MC2 = mttkrp(t, (A2, B2, C2), 2, T2)
-            err2, Z2 = _gram_error(t, normX, A2, B2, C2, MC2)
-            best_trial = min(best_trial, err2)
-            if err2 <= err:
-                A, B, C, T, MC, err = A2, B2, C2, T2, MC2, err2
-                ZA, ZB, ZC = Z2
-                mu = max(mu / 10.0, _MU_MIN)
-                break
-            mu *= 10.0
+            tried.append(s)
+            trials.append(tuple(M + d for M, d in zip(s.X, step)))
+            break
+    if not tried:
+        return
+    A, B, C = _stack(trials)
+    MB, MC, scored = _score(t, normX, A, B, C)
+    for s, *X, mb, mc, (err, Z) in zip(tried, A, B, C, MB, MC, scored):
+        if err <= s.err:
+            s.X, s.MB, s.MC, s.Z, s.g = tuple(X), mb, mc, Z, None
+            s.mu = max(s.mu / 10.0, _MU_MIN)
+            s.best_trial = np.inf
+            s.record(err)
         else:
-            # damping ceiling hit: stalled at the numerical accuracy limit or
-            # genuinely unable to descend
-            return best_trial <= err * (1.0 + 1e-12)
-        yield (A, B, C), err, False
+            s.best_trial = min(s.best_trial, err)
+            _raise_damping(s)
+
+
+def _raise_damping(s: _Start):
+    """Raise a start's damping tenfold.  Past ``_MU_MAX`` the start ends:
+    converged when it stalled at the numerical accuracy limit, no trial
+    having done worse than the iterate beyond roundoff, and not converged
+    when it genuinely could not descend."""
+    s.mu *= 10.0
+    if s.mu > _MU_MAX:
+        s.stop(s.best_trial <= s.err * (1.0 + 1e-12))
 
 
 def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -326,7 +398,7 @@ def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     the damping tenfold and retries.  Shares the ALS seeding scheme
     so both solvers explore identical starts for a given seed; ``init``
     (A, B, C) forces a single run."""
-    return _best_of_starts(t, opts, init, _gn_steps)
+    return _best_of_starts(t, opts, init, _gn_round)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .errors import ArgumentError, IngestError
 # fixed spectral grid: 1.0 .. 45.0 Hz in 0.5 Hz steps
 FREQ_GRID = np.linspace(1.0, 45.0, 89)
 FREQ_GRID.flags.writeable = False
+# the lowest sample rate ``welch`` takes for the 45 Hz grid
+_WELCH_MIN_RATE = 96.0
 
 # integration tiles for PIB; shared edges are half-counted by the trapezoids,
 # so the five bands partition the full 1-45 Hz power exactly
@@ -65,6 +67,18 @@ def invalid_spectra(psd: np.ndarray) -> np.ndarray:
     """True for each (S, F) spectrum of a (..., S, F) array that holds a
     negative or non-finite value."""
     return ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
+
+
+def check_sample_rate(sample_rate: float, hi: float):
+    """Refuse, as an IngestError, a recording rate that cannot carry the band
+    edge ``hi`` (``bandpass``) or the 45 Hz Welch grid (``welch``), so a
+    caller skips the recording before it is filtered."""
+    if sample_rate <= 2.0 * hi:
+        raise IngestError(f"has sample rate {sample_rate} Hz, which cannot support "
+                          f"a {hi} Hz band edge")
+    if sample_rate < _WELCH_MIN_RATE:
+        raise IngestError(f"has sample rate {sample_rate} Hz, which cannot support "
+                          "the 45 Hz grid")
 
 
 def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) -> Recording:
@@ -152,7 +166,7 @@ def welch(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     fixed 1.0-45.0 Hz grid; the result has shape (channels, 89), uV^2/Hz."""
     from scipy import signal as sps
 
-    if sample_rate < 96.0:
+    if sample_rate < _WELCH_MIN_RATE:
         raise ArgumentError(f"sample rate {sample_rate} Hz cannot support the 45 Hz grid")
     nperseg = int(round(2.0 * sample_rate))
     if samples.shape[1] < nperseg:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -128,11 +129,17 @@ def _check_factor_shapes(t: Tensor3, fs: FactorSet):
 
 def partial_product(t: Tensor3, A: np.ndarray) -> np.ndarray:
     """T = (A^T X_(0)).reshape(r, S, F): the tensor contracted with A over
-    mode 0, which :func:`mttkrp` contracts further for modes 1 and 2."""
+    mode 0, which :func:`mttkrp` contracts further for modes 1 and 2.
+
+    A stack of factors, shape (k, E, r), gives the k partial products as a
+    (k, r, S, F) stack from one GEMM of its k*r columns against X_(0).
+    """
     E, S, F = t.dims
-    if A.ndim != 2 or A.shape[0] != E:
+    if A.ndim not in (2, 3) or A.shape[-2] != E:
         raise ArgumentError(f"factor A of shape {A.shape} does not match tensor dims {t.dims}")
-    return (A.T @ t.data.reshape(E, S * F)).reshape(A.shape[1], S, F)
+    r = A.shape[-1]
+    At = np.swapaxes(A, -1, -2).reshape(-1, E)
+    return (At @ t.data.reshape(E, S * F)).reshape(A.shape[:-2] + (r, S, F))
 
 
 def mttkrp(t: Tensor3, factors, mode: int, partial=None) -> np.ndarray:
@@ -140,49 +147,69 @@ def mttkrp(t: Tensor3, factors, mode: int, partial=None) -> np.ndarray:
     factors ``(A, B, C)`` for the given mode, as matmuls (Phan, Tichavsky &
     Cichocki, IEEE Trans. Signal Process. 61(19), 2013).
 
-    Mode 0 is one GEMM, X_(0) @ (B kr C), against the small (S*F) x r
-    Khatri-Rao product of B and C, which is built.  Modes 1 and 2 contract
-    the partial product T = ``partial_product(t, A)`` with C or with B, so
-    their cost does not grow with E.  T depends on A alone: a caller that
-    holds A fixed passes one T as ``partial`` to both, and without it T is
+    The factors are either matrices, (d_n, r), or stacks of k of them,
+    (k, d_n, r), one per CPD start; a stack gives the k MTTKRPs as a
+    (k, d_mode, r) stack, and a matrix is the k = 1 case without the
+    leading axis.  Mode 0 is one GEMM against X_(0) for the whole stack:
+    the k Khatri-Rao products of B and C, each (S*F) x r, are built and
+    stacked.  Modes 1 and 2 contract the partial product T =
+    ``partial_product(t, A)`` with C or with B, so their cost does not grow
+    with E.  T depends on A alone: a caller that holds A fixed passes one T
+    (or a stack of them) as ``partial`` to both, and without it T is
     computed here.  Equals X_(mode) times the Khatri-Rao product of the
-    other two factors to 1e-12 relative.
+    other two factors to 1e-12 relative, start by start.
     """
     if mode not in _MODES:
         raise ArgumentError(f"mode must be one of {_MODES}, got {mode}")
     A, B, C = factors
-    r = A.shape[-1]
+    lead, r = A.shape[:-2], A.shape[-1]
     shapes = (A.shape, B.shape, C.shape)
-    if shapes != tuple((d, r) for d in t.dims):
+    if A.ndim not in (2, 3) or shapes != tuple(lead + (d, r) for d in t.dims):
         raise ArgumentError(f"factor shapes {shapes} do not match tensor dims {t.dims}")
     E, S, F = t.dims
+    Bt, Ct = np.swapaxes(B, -1, -2), np.swapaxes(C, -1, -2)
     if mode == 0:
-        # built transposed, r x (S*F): BLAS runs (B kr C)^T X_(0)^T, the shape
-        # of the GEMM behind T, up to 1.5x faster than X_(0) (B kr C)
-        kr = np.ascontiguousarray(B.T)[:, :, None] * np.ascontiguousarray(C.T)[:, None, :]
-        return (kr.reshape(r, S * F) @ t.data.reshape(E, S * F).T).T
+        # built transposed, (k*r) x (S*F): BLAS runs (B kr C)^T X_(0)^T, the
+        # shape of the GEMM behind T, up to 1.5x faster than X_(0) (B kr C)
+        kr = np.ascontiguousarray(Bt)[..., :, None] * np.ascontiguousarray(Ct)[..., None, :]
+        out = kr.reshape(-1, S * F) @ t.data.reshape(E, S * F).T
+        return np.swapaxes(out.reshape(lead + (r, E)), -1, -2)
     if partial is None:
         partial = partial_product(t, A)
-    elif partial.shape != (r, S, F):
-        raise ArgumentError(f"partial product of shape {partial.shape}, expected {(r, S, F)}")
+    elif partial.shape != lead + (r, S, F):
+        raise ArgumentError(f"partial product of shape {partial.shape}, "
+                            f"expected {lead + (r, S, F)}")
     if mode == 1:
-        return np.matmul(partial, C.T[:, :, None])[:, :, 0].T
-    return np.matmul(B.T[:, None, :], partial)[:, 0, :].T
+        return np.swapaxes(np.matmul(partial, Ct[..., None])[..., 0], -1, -2)
+    return np.swapaxes(np.matmul(Bt[..., None, :], partial)[..., 0, :], -1, -2)
+
+
+# rows of X_(0) per block of the residual in relative_error
+_ROW_BLOCK = 64
 
 
 def relative_error(t: Tensor3, fs: FactorSet) -> float:
     """||t - X^||_F / ||t||_F, with X^ the sum of the rank-1 tensors of ``fs``.
 
-    The fit used by DIFFIT is 1 - relative_error**2 (explained sum of squares).
+    The residual is summed over blocks of mode-0 rows, so no E x S x F
+    temporary is made.  The fit used by DIFFIT is 1 - relative_error**2
+    (explained sum of squares).
     """
     _check_factor_shapes(t, fs)
     nrm = t.norm()
     if nrm == 0.0:
         raise ArgumentError("relative_error is undefined for a zero-norm tensor")
-    resid = np.einsum("r,er,sr,fr->esf", fs.weights, fs.A, fs.B, fs.C, optimize=True)
-    # one E x S x F temporary: t - approx and approx - t have the same norm
-    resid -= t.data
-    return float(np.linalg.norm(resid) / nrm)
+    E, S, F = t.dims
+    krT = (fs.B.T[:, :, None] * fs.C.T[:, None, :]).reshape(fs.rank, S * F)
+    Aw = fs.A * fs.weights
+    X0 = t.data.reshape(E, S * F)
+    err2 = 0.0
+    for lo in range(0, E, _ROW_BLOCK):
+        # t - approx and approx - t have the same norm
+        resid = Aw[lo:lo + _ROW_BLOCK] @ krT
+        resid -= X0[lo:lo + _ROW_BLOCK]
+        err2 += float(np.vdot(resid, resid))
+    return math.sqrt(err2) / nrm
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from eegfactor import (
     epoch_and_reject,
     load_factors,
     load_tensor,
+    make_recording,
     read_edf_file,
     read_manifest,
     save_tensor,
     select_channels,
     welch,
+    write_edf,
 )
 from eegfactor import cli
 from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, _sha256, main
@@ -95,6 +97,12 @@ class TestPipeline:
         assert meta["rank"] == 3
         assert meta["solver"] == "GN"
         assert meta["rel_error"] < 0.1
+        # one record per start (CONFIG has 2), the picked one among them
+        assert [sorted(s) for s in meta["starts"]] == [
+            ["converged", "fit", "gram_regularized", "iterations"]] * 2
+        picked = meta["starts"][meta["start_index"]]
+        assert picked["iterations"] == meta["iterations"]
+        assert picked["fit"] == max(s["fit"] for s in meta["starts"])
         for i in (1, 2, 3):
             topo = read_csv(wd / f"factor_{i}_topomap.csv")
             assert len(topo) == 20 and topo[0] == ["channel", "value"]
@@ -199,6 +207,27 @@ class TestEdfRoute:
             assert f"warning: skipping {name}.edf: recording {name} has " in err
         assert "need at least 6" in err
         assert "no recording in the manifest survived preprocessing" in err
+
+    def test_unusable_sample_rate_skips_the_recording(self, workdir, capsys):
+        # a 64 Hz recording cannot carry the 45 Hz band edge: preprocess and
+        # project --manifest skip it with a warning and go on with the other
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        slow = make_recording(seed=1, sample_rate=64.0, duration=50.0)
+        (wd / "rec_001.edf").write_bytes(write_edf(slow))
+        warning = ("warning: skipping rec_001.edf: recording rec_001 has sample rate 64.0 Hz, "
+                   "which cannot support a 45.0 Hz band edge")
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        assert warning in capsys.readouterr().err
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+        assert run(*base, "decompose", "--rank", "2") == 0
+        capsys.readouterr()
+        assert run(*base, "project", "--manifest", str(wd / "manifest.csv")) == 0
+        assert warning in capsys.readouterr().err
+        assert {r[1] for r in read_csv(wd / "weights.csv")[1:]} == {"rec_000"}
 
     def test_project_via_manifest(self, workdir):
         wd, cfg = workdir

@@ -142,18 +142,64 @@ class TestStarts:
 
     @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
     def test_best_start_is_first_with_best_fit(self, planted_noisy, solver):
+        t, _ = planted_noisy
+        res = solver(t, CpdOptions(rank=4, n_starts=4, max_iters=15, seed=3))
+        fits = [s.fit for s in res.starts]
+        assert len(fits) == 4
+        assert len(set(fits)) > 1  # the starts disagree, so the pick matters
+        assert res.start_index == fits.index(max(fits))
+        best = res.starts[res.start_index]
+        assert (res.iterations, res.converged) == (best.iterations, best.converged)
+        assert res.gram_regularized == best.gram_regularized
+
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_each_start_agrees_with_its_single_run(self, planted_noisy, solver):
+        # the starts advance as one stack; each one still follows the path it
+        # takes alone, up to the roundoff of the stacked GEMMs
         from eegfactor.cpd import _uniform_init
 
         t, _ = planted_noisy
         opts = CpdOptions(rank=4, n_starts=4, max_iters=15, seed=3)
-        fits = [
-            solver(t, opts, init=_uniform_init(t.dims, opts.rank, opts.seed, s)).fit
-            for s in range(opts.n_starts)
-        ]
         res = solver(t, opts)
-        assert len(set(fits)) > 1  # the starts disagree, so the pick matters
-        assert res.fit == max(fits)
-        assert res.start_index == fits.index(max(fits))
+        for s, rec in enumerate(res.starts):
+            alone = solver(t, opts, init=_uniform_init(t.dims, opts.rank, opts.seed, s))
+            (single,) = alone.starts
+            assert (single.iterations, single.converged) == (rec.iterations, rec.converged)
+            assert single.fit == pytest.approx(rec.fit, rel=1e-10)
+            if s == res.start_index:
+                assert alone.fit == pytest.approx(res.fit, rel=1e-10)
+
+    def test_gn_reads_the_tensor_once_per_round(self, planted_noisy, monkeypatch):
+        # every live start takes one trial per round, and the round's partial
+        # product covers all their trials; a stopped start leaves the stack
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        real, stacks = cpd_module.partial_product, []
+        monkeypatch.setattr(cpd_module, "partial_product",
+                            lambda t, A: stacks.append(len(A) if A.ndim == 3 else 1) or real(t, A))
+        t, _ = planted_noisy
+        opts = CpdOptions(rank=3, n_starts=10, max_iters=4, seed=2)
+        res = cpd_gn(t, opts)
+        assert len(res.starts) == 10
+        assert stacks[:2] == [10, 10]  # the starts are scored, then tried, together
+        assert stacks == sorted(stacks, reverse=True)
+        assert sum(stacks) >= 10 + sum(s.iterations for s in res.starts)
+        assert len(stacks) <= 1 + 2 * opts.max_iters
+
+
+class TestGramSolve:
+    def test_singular_start_is_ridged_alone(self):
+        from eegfactor.cpd import _gram_solve
+
+        rng = np.random.default_rng(12)
+        M, P, Q = (rng.standard_normal((3, d, 2)) for d in (8, 6, 7))
+        P[1, :, 1] = 0.0  # the Gramian of start 1 is singular
+        X, ridged = _gram_solve(M, P, Q)
+        assert ridged.tolist() == [False, True, False]
+        assert np.all(np.isfinite(X))
+        for i in (0, 2):
+            alone, ridged_alone = _gram_solve(M[i:i + 1], P[i:i + 1], Q[i:i + 1])
+            assert not ridged_alone[0]
+            np.testing.assert_allclose(X[i], alone[0], rtol=1e-12)
 
 
 class TestGaussNewton:

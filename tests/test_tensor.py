@@ -302,6 +302,36 @@ class TestMttkrp:
             mttkrp(t, factors, 1, partial_product(t, factors[0])[:1])
 
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_stack_matches_per_start_calls(self, k, r):
+        rng = np.random.default_rng(10 * k + r)
+        t = Tensor3(rng.standard_normal((30, 19, 89)))
+        stack = tuple(rng.standard_normal((k, d, r)) for d in t.dims)
+        T = partial_product(t, stack[0])
+        assert T.shape == (k, r, 19, 89)
+        for i in range(k):
+            single = partial_product(t, stack[0][i])
+            assert np.abs(T[i] - single).max() <= 1e-12 * np.abs(single).max()
+        for mode in _MODES:
+            outs = [mttkrp(t, stack, mode)] + ([mttkrp(t, stack, mode, T)] if mode else [])
+            for out in outs:
+                assert out.shape == (k, t.dims[mode], r)
+                for i in range(k):
+                    single = mttkrp(t, tuple(M[i] for M in stack), mode)
+                    assert np.abs(out[i] - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_stack_shapes_checked(self):
+        rng = np.random.default_rng(11)
+        t = Tensor3(rng.standard_normal((4, 3, 5)))
+        A, B, C = (rng.standard_normal((3, d, 2)) for d in t.dims)
+        with pytest.raises(ArgumentError):
+            mttkrp(t, (A, B[:2], C), 0)  # unequal numbers of starts
+        with pytest.raises(ArgumentError):
+            mttkrp(t, (A, B, C), 2, partial_product(t, A[:2]))
+        with pytest.raises(ArgumentError):
+            partial_product(t, A[None])
+
 class TestReconstruct:
     def test_rank1_hand_case(self):
         fs = FactorSet(
