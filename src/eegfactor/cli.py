@@ -42,6 +42,7 @@ from .preprocess import (
     FREQ_GRID,
     INVALID_SPECTRUM,
     PIB_NAMES,
+    WELCH_SEGMENT_SECONDS,
     bandpass,
     check_sample_rate,
     epoch_and_reject,
@@ -139,12 +140,32 @@ def load_config(path=None) -> dict:
     return cfg
 
 
+def _check_types(cfg: dict):
+    """Refuse, naming the field, a value of another type than its default:
+    an int field takes an int that is not a bool, a float field a finite int
+    or float, and a string field a string."""
+    for section, defaults in DEFAULT_CONFIG.items():
+        for field, default in defaults.items():
+            value = cfg[section][field]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if isinstance(default, str):
+                ok, kind = isinstance(value, str), "a string"
+            elif isinstance(default, float):
+                ok, kind = number and math.isfinite(value), "a finite number"
+            else:
+                ok, kind = number and isinstance(value, int), "an integer"
+            if not ok:
+                raise ConfigError(f"{section}.{field} must be {kind}, got {value!r}")
+
+
 def validate_config(cfg: dict):
+    _check_types(cfg)
     pp = cfg["preprocess"]
     if not 0 < pp["band_lo_hz"] < pp["band_hi_hz"]:
         raise ConfigError("preprocess.band_lo_hz must be in (0, band_hi_hz)")
-    if pp["epoch_seconds"] <= 0:
-        raise ConfigError("preprocess.epoch_seconds must be positive")
+    if pp["epoch_seconds"] < WELCH_SEGMENT_SECONDS:
+        raise ConfigError(f"preprocess.epoch_seconds must be at least {WELCH_SEGMENT_SECONDS} s, "
+                          "one Welch segment")
     if pp["min_epochs"] < 2:
         raise ConfigError("preprocess.min_epochs must be >= 2")
     if pp["max_epochs"] < pp["min_epochs"]:
@@ -402,16 +423,18 @@ def _preprocess_recording(entry, cfg):
     ids name the recording by its file stem and the entry's subject."""
     pp = cfg["preprocess"]
     rec = select_channels(read_edf_file(entry.path))
-    recording_id = entry.path.stem
+    recording_id, sample_rate = entry.path.stem, rec.sample_rate
     try:
-        check_sample_rate(rec.sample_rate, pp["band_hi_hz"])
+        check_sample_rate(sample_rate, pp["band_hi_hz"])
         rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
         epochs, ordinals = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
-        picked = select_awake_epochs(epochs, rec.sample_rate, pp["min_epochs"],
-                                     pp["max_epochs"])
+        # the epochs are a copy: free the filtered recording before scoring, so
+        # the Welch temporaries below reuse its memory instead of growing the heap
+        del rec
+        picked = select_awake_epochs(epochs, sample_rate, pp["min_epochs"], pp["max_epochs"])
     except IngestError as exc:
         raise IngestError(f"recording {recording_id} {exc}") from None
-    spectra = [welch(epochs[i], rec.sample_rate) for i in picked]
+    spectra = [welch(epochs[i], sample_rate) for i in picked]
     return spectra, [(entry.subject_id, recording_id, k) for k in ordinals[picked].tolist()]
 
 

@@ -78,15 +78,28 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class CpdResult:
+    """The best start's normalized factors, error, fit and fit trace, which
+    start that was, and every start's record; the best start's
+    ``iterations``, ``converged`` and ``gram_regularized`` read its record."""
+
     factors: FactorSet
     rel_error: float
     fit: float
-    iterations: int
-    converged: bool
     trace: tuple[float, ...]
-    gram_regularized: bool = False
-    start_index: int = 0
-    starts: tuple[StartRecord, ...] = ()
+    start_index: int
+    starts: tuple[StartRecord, ...]
+
+    @property
+    def iterations(self) -> int:
+        return self.starts[self.start_index].iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.starts[self.start_index].converged
+
+    @property
+    def gram_regularized(self) -> bool:
+        return self.starts[self.start_index].gram_regularized
 
 
 def _validate_problem(t: Tensor3, rank: int):
@@ -240,10 +253,7 @@ def _best_of_starts(t: Tensor3, opts: CpdOptions, init, advance) -> CpdResult:
         factors=fs,
         rel_error=rel,
         fit=1.0 - rel * rel,
-        iterations=len(best.trace) - 1,
-        converged=best.converged,
         trace=tuple(best.trace),
-        gram_regularized=best.regularized,
         start_index=starts.index(best),
         starts=tuple(StartRecord(len(s.trace) - 1, s.converged, s.fit, s.regularized)
                      for s in starts),

@@ -4,8 +4,10 @@ The chain per recording: zero-phase band-pass (``bandpass``), contiguous
 10-s epoching with high-power Cz rejection (``epoch_and_reject``: a (k, 19, n)
 stack of kept epochs and their ordinals), awake-epoch selection by posterior
 alpha (``select_awake_epochs``: positions into that stack), and Welch power
-spectral densities on a fixed 1.0-45.0 Hz grid (``welch``: one (19, n) epoch
-to its (19, 89) spectrum).  The caller stacks the spectra into the population
+spectral densities on a fixed 1.0-45.0 Hz grid (``welch``: any (..., n) stack
+to its (..., 89) spectra, one ``scipy.signal.welch`` call for the stack).
+Selection Welches the O1 and O2 rows of all k epochs in one call; the caller
+Welches each picked (19, n) epoch, stacks the spectra into the population
 tensor and records each row's (subject, recording, epoch) origin.  The
 arrays carry no names, so the IngestErrors of epoching and selection read as
 predicates ("holds fewer than 2 epochs"); the caller prefixes the recording.
@@ -30,6 +32,8 @@ FREQ_GRID = np.linspace(1.0, 45.0, 89)
 FREQ_GRID.flags.writeable = False
 # the lowest sample rate ``welch`` takes for the 45 Hz grid
 _WELCH_MIN_RATE = 96.0
+# the length of one Welch segment; an epoch must hold at least one
+WELCH_SEGMENT_SECONDS = 2.0
 
 # integration tiles for PIB; shared edges are half-counted by the trapezoids,
 # so the five bands partition the full 1-45 Hz power exactly
@@ -142,8 +146,10 @@ def select_awake_epochs(
     posterior relative alpha power.
 
     The score is the mean over O1 and O2 of (8-12 Hz power) / (1-45 Hz power);
-    k = clamp(len(epochs), min_epochs, max_epochs).  A stack of fewer than
-    ``min_epochs`` epochs is rejected.
+    k = clamp(len(epochs), min_epochs, max_epochs).  Only the O1 and O2 rows
+    are Welched, all epochs in one ``welch`` call; each row's spectrum is the
+    one a call on that epoch alone gives.  A stack of fewer than
+    ``min_epochs`` epochs is rejected; ties keep the earlier epoch.
     """
     if len(epochs) == 0:
         raise ArgumentError("empty epoch stack")
@@ -151,25 +157,29 @@ def select_awake_epochs(
         raise IngestError(
             f"has {len(epochs)} epochs after rejection, need at least {min_epochs}"
         )
-    scores = np.empty(len(epochs))
-    for i, samples in enumerate(epochs):
-        power = welch(samples, sample_rate)[[O1_INDEX, O2_INDEX]] @ _BAND_WEIGHTS
-        alpha, total = power[:, _ALPHA], power[:, _TOTAL]
-        scores[i] = np.mean(np.divide(alpha, total, out=np.zeros(2), where=total > 0))
+    power = welch(epochs[:, [O1_INDEX, O2_INDEX]], sample_rate) @ _BAND_WEIGHTS
+    alpha, total = power[..., _ALPHA], power[..., _TOTAL]
+    scores = np.mean(np.divide(alpha, total, out=np.zeros_like(alpha), where=total > 0),
+                     axis=1)
     k = min(max(len(epochs), min_epochs), max_epochs)
     return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
 def welch(samples: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Welch PSD of each row of a (channels, samples) epoch: 2-s Hamming
-    segments, 50% overlap, density scaling, linearly interpolated onto the
-    fixed 1.0-45.0 Hz grid; the result has shape (channels, 89), uV^2/Hz."""
+    """Welch PSD of each row of a (..., samples) stack, such as one
+    (channels, samples) epoch or a (k, channels, samples) stack of them:
+    2-s Hamming segments, 50% overlap, density scaling, linearly interpolated
+    onto the fixed 1.0-45.0 Hz grid; the result has shape (..., 89), uV^2/Hz.
+
+    One ``scipy.signal.welch`` call covers the whole stack, and each row comes
+    out bit-identical to a call on that row's epoch alone.
+    """
     from scipy import signal as sps
 
     if sample_rate < _WELCH_MIN_RATE:
         raise ArgumentError(f"sample rate {sample_rate} Hz cannot support the 45 Hz grid")
-    nperseg = int(round(2.0 * sample_rate))
-    if samples.shape[1] < nperseg:
+    nperseg = int(round(WELCH_SEGMENT_SECONDS * sample_rate))
+    if samples.shape[-1] < nperseg:
         raise ArgumentError("epoch shorter than one Welch segment")
     freqs, psd = sps.welch(
         samples,
@@ -179,12 +189,13 @@ def welch(samples: np.ndarray, sample_rate: float) -> np.ndarray:
         noverlap=nperseg // 2,
         detrend="constant",
         scaling="density",
-        axis=1,
+        axis=-1,
     )
-    on_grid = np.empty((samples.shape[0], len(FREQ_GRID)))
-    for ch in range(samples.shape[0]):
-        on_grid[ch] = np.interp(FREQ_GRID, freqs, psd[ch])
-    return on_grid
+    rows = psd.reshape(-1, psd.shape[-1])
+    on_grid = np.empty((len(rows), len(FREQ_GRID)))
+    for out, row in zip(on_grid, rows):
+        out[:] = np.interp(FREQ_GRID, freqs, row)
+    return on_grid.reshape(psd.shape[:-1] + (len(FREQ_GRID),))
 
 
 def pib(psd) -> np.ndarray:

@@ -242,6 +242,32 @@ class TestEdfRoute:
         assert len(weights) > 1
 
 
+# one value per config field, each of another type than the field's default
+WRONG_TYPES = [
+    ("paths", "manifest", "[a.csv]"),
+    ("paths", "workdir", "5"),
+    ("preprocess", "band_lo_hz", "low"),
+    ("preprocess", "band_hi_hz", "null"),
+    ("preprocess", "filter_order", "8.0"),
+    ("preprocess", "epoch_seconds", "ten"),
+    ("preprocess", "min_epochs", "2.0"),
+    ("preprocess", "max_epochs", "null"),
+    ("preprocess", "rejection_sigma", "true"),
+    ("cpd", "rank", "three"),
+    ("cpd", "max_iters", "true"),
+    ("cpd", "tol", "1e-8"),  # YAML 1.1 reads a float without a dot as a string
+    ("cpd", "n_starts", "[5]"),
+    ("cpd", "seed", "0.5"),
+    ("cpd", "solver", "1"),
+    ("diffit", "r_max", "[6]"),
+    ("diffit", "n_runs", "{a: 1}"),
+    ("classify", "k_folds", "2.5"),
+    ("classify", "svm_c", ".nan"),
+    ("classify", "svm_epochs", "false"),
+    ("classify", "seed", "'0'"),
+]
+
+
 class TestErrors:
     def test_classify_without_project_names_producer(self, workdir, capsys):
         wd, cfg = workdir
@@ -310,6 +336,30 @@ class TestErrors:
         code = run("--config", str(cfg), "--workdir", str(tmp_path / "w"), "report")
         assert code == 1
         assert "k_folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field,value", WRONG_TYPES,
+                             ids=[f"{s}.{f}" for s, f, _ in WRONG_TYPES])
+    def test_config_field_of_wrong_type(self, tmp_path, capsys, section, field, value):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"{section}:\n  {field}: {value}\n")
+        # --workdir would override paths.workdir before validation
+        argv = ["--config", str(cfg)]
+        if field != "workdir":
+            argv += ["--workdir", str(tmp_path / "w")]
+        assert run(*argv, "report") == 1
+        assert f"error: {section}.{field} must be " in capsys.readouterr().err
+
+    def test_every_config_field_has_a_wrong_type_case(self):
+        assert [(s, f) for s, f, _ in WRONG_TYPES] == [
+            (s, f) for s, fields in cli.DEFAULT_CONFIG.items() for f in fields]
+
+    @pytest.mark.parametrize("seconds,code", [(1.99, 1), (2, 0)])
+    def test_epoch_shorter_than_a_welch_segment(self, tmp_path, capsys, seconds, code):
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text(f"preprocess:\n  epoch_seconds: {seconds}\n")
+        assert run("--config", str(cfg), "--workdir", str(tmp_path / "w"), "report") == code
+        assert ("preprocess.epoch_seconds must be at least 2.0 s"
+                in capsys.readouterr().err) == bool(code)
 
     def test_unknown_config_section(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

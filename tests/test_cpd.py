@@ -148,9 +148,6 @@ class TestStarts:
         assert len(fits) == 4
         assert len(set(fits)) > 1  # the starts disagree, so the pick matters
         assert res.start_index == fits.index(max(fits))
-        best = res.starts[res.start_index]
-        assert (res.iterations, res.converged) == (best.iterations, best.converged)
-        assert res.gram_regularized == best.gram_regularized
 
     @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
     def test_each_start_agrees_with_its_single_run(self, planted_noisy, solver):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eegfactor import CpdOptions, SynthSpec, make_tensor
+from eegfactor import CpdOptions, SynthSpec, make_recording, make_tensor, read_manifest, write_edf
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,3 +44,25 @@ def test_solvers_reach_the_traced_mttkrp(solver, span):
     assert tr.children_of("tensor.mttkrp", span) > 0
     row = tr.table()[span]
     assert row["self_s"] < row["total_s"]
+
+
+def test_selection_welches_once_per_recording(tmp_path):
+    # the benchmark's Welch counts: one stacked call scores a recording's
+    # candidate epochs, and each picked epoch keeps its own call, so there
+    # are more Welch spans than kept epochs
+    cli = importlib.import_module("eegfactor.cli")
+    lines = ["path,subject_id,label"]
+    for i in range(2):
+        rec = make_recording(seed=i, duration=60.0)
+        (tmp_path / f"rec_{i}.edf").write_bytes(write_edf(rec))
+        lines.append(f"rec_{i}.edf,s{i},")
+    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+    entries = read_manifest(tmp_path / "manifest.csv")
+    with load_tracer().Tracer() as tr:
+        cli._preprocess_entries(entries, cli.load_config())
+    selects = [i for i, (name, *_) in enumerate(tr.spans) if name == "preprocess.select_awake"]
+    assert len(selects) == 2
+    for i in selects:
+        assert [name for name, parent, *_ in tr.spans if parent == i] == ["preprocess.welch"]
+    welch_calls = tr.table()["preprocess.welch"]["calls"]
+    assert welch_calls > tr.counts["preprocess.epochs_kept"] > 0

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from eegfactor import (
     pib,
     select_awake_epochs,
     welch,
+    write_edf,
 )
+from eegfactor import cli
 from eegfactor.channels import CHANNELS, CZ_INDEX, O1_INDEX, O2_INDEX
-from eegfactor.preprocess import BANDS, FREQ_GRID, PIB_NAMES
+from eegfactor.edf import ManifestEntry
+from eegfactor.preprocess import _ALPHA, _BAND_WEIGHTS, _TOTAL, BANDS, FREQ_GRID, PIB_NAMES
 
 FS = 256.0
 
@@ -184,6 +189,52 @@ class TestSelectAwakeEpochs:
         indices = list(select_awake_epochs(epochs, FS))
         assert indices == sorted(indices)
 
+    @pytest.mark.parametrize("stack", ["random", "ties"])
+    def test_positions_match_full_welch_oracle(self, stack):
+        # selection Welches only O1 and O2, all epochs in one call; it must
+        # pick what scoring each epoch from its own 19-channel Welch picks
+        if stack == "random":
+            epochs = make_epochs(29, alpha_indices={3, 7, 11, 20, 28})
+        else:
+            # three distinct epochs, two of them repeated, and silent epochs
+            # whose total power is zero: most scores tie
+            a, b, c = make_epochs(3, alpha_indices={1}, seed=4)
+            epochs = np.stack([b, a, c, a, b, np.zeros_like(a), c, b, np.zeros_like(a), a])
+
+        def oracle(epochs, min_epochs=2, max_epochs=6):
+            scores = []
+            for e in epochs:
+                power = welch(e, FS) @ _BAND_WEIGHTS
+                shares = [power[ch, _ALPHA] / power[ch, _TOTAL] if power[ch, _TOTAL] > 0
+                          else 0.0 for ch in (O1_INDEX, O2_INDEX)]
+                scores.append(np.mean(shares))
+            k = min(max(len(epochs), min_epochs), max_epochs)
+            return np.sort(np.argsort(-np.array(scores), kind="stable")[:k])
+
+        assert np.array_equal(select_awake_epochs(epochs, FS), oracle(epochs))
+
+    def test_filtered_recording_freed_before_scoring(self, tmp_path, monkeypatch):
+        # the epochs are a copy, so _preprocess_recording drops the band-passed
+        # recording before scoring and the per-epoch Welch calls run without it
+        path = tmp_path / "rec.edf"
+        path.write_bytes(write_edf(make_recording(seed=2, duration=60.0)))
+        refs, alive = [], []
+        real_cut, real_select = cli.epoch_and_reject, cli.select_awake_epochs
+
+        def cut(rec, *args):
+            refs.extend([weakref.ref(rec), weakref.ref(rec.samples)])
+            return real_cut(rec, *args)
+
+        def select(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return real_select(*args)
+
+        monkeypatch.setattr(cli, "epoch_and_reject", cut)
+        monkeypatch.setattr(cli, "select_awake_epochs", select)
+        spectra, _ = cli._preprocess_recording(ManifestEntry(path, "s0", None),
+                                               cli.load_config())
+        assert spectra and alive == [False, False]
+
 
 def tone_epoch(freq, amp=1.0, fs=FS):
     t = np.arange(int(10 * fs)) / fs
@@ -223,6 +274,17 @@ class TestWelch:
         rng = np.random.default_rng(2)
         for _ in range(5):
             assert np.all(welch(rng.standard_normal((19, int(10 * FS))) * 40, FS) >= 0.0)
+
+    @pytest.mark.parametrize("fs", [128.0, 200.0, 256.0, 500.0])
+    def test_stack_equals_per_epoch_calls(self, fs):
+        # one call on a (k, c, n) stack gives each epoch's own spectrum, bit for bit
+        rng = np.random.default_rng(int(fs))
+        stack = 30.0 * rng.standard_normal((5, 19, int(10 * fs)))
+        psd = welch(stack, fs)
+        assert psd.shape == (5, 19, 89)
+        assert np.array_equal(psd, np.stack([welch(e, fs) for e in stack]))
+        rows = [O1_INDEX, O2_INDEX]
+        assert np.array_equal(welch(stack[:, rows], fs), psd[:, rows])
 
     def test_determinism(self):
         rec = make_recording(seed=3, duration=30.0)
