@@ -44,6 +44,7 @@ from .preprocess import (
     PIB_NAMES,
     WELCH_SEGMENT_SECONDS,
     bandpass,
+    check_duration,
     check_sample_rate,
     epoch_and_reject,
     invalid_spectra,
@@ -426,6 +427,7 @@ def _preprocess_recording(entry, cfg):
     recording_id, sample_rate = entry.path.stem, rec.sample_rate
     try:
         check_sample_rate(sample_rate, pp["band_hi_hz"])
+        check_duration(rec, pp["epoch_seconds"])
         rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
         epochs, ordinals = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
         # the epochs are a copy: free the filtered recording before scoring, so

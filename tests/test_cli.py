@@ -12,6 +12,7 @@ import pytest
 
 from eegfactor import (
     ParseError,
+    Recording,
     Tensor3,
     bandpass,
     epoch_and_reject,
@@ -26,7 +27,9 @@ from eegfactor import (
     write_edf,
 )
 from eegfactor import cli
+from eegfactor.channels import O1_INDEX, O2_INDEX
 from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, _sha256, main
+from eegfactor.preprocess import _ALPHA, _BAND_WEIGHTS, _TOTAL, FREQ_GRID
 
 CONFIG = """\
 preprocess:
@@ -228,6 +231,59 @@ class TestEdfRoute:
         assert run(*base, "project", "--manifest", str(wd / "manifest.csv")) == 0
         assert warning in capsys.readouterr().err
         assert {r[1] for r in read_csv(wd / "weights.csv")[1:]} == {"rec_000"}
+
+    def test_too_short_recording_skips_the_recording(self, workdir, capsys):
+        # a 40-sample recording, shorter even than the band-pass's odd
+        # extension, is refused before it is filtered and skipped with the
+        # usual warning
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        short = make_recording(seed=1, duration=40 / 256.0)
+        assert short.samples.shape == (19, 40)
+        (wd / "rec_001.edf").write_bytes(write_edf(short))
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        assert ("warning: skipping rec_001.edf: recording rec_001 holds fewer than 2 epochs "
+                "(0.2 s)") in capsys.readouterr().err
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+
+    def test_provenance_matches_a_scipy_chain(self, workdir):
+        # preprocess picks the epochs that a chain built from scipy.signal's
+        # butter, sosfiltfilt and welch picks, and their spectra agree to
+        # roundoff
+        from scipy import signal as sps
+
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        rows, spectra = [], []
+        for entry in read_manifest(wd / "manifest.csv"):
+            rec = select_channels(read_edf_file(entry.path))
+            fs, nperseg = rec.sample_rate, int(round(2.0 * rec.sample_rate))
+            sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=fs, output="sos")
+            filtered = Recording(samples=sps.sosfiltfilt(sos, rec.samples, axis=1),
+                                 sample_rate=fs, channel_labels=rec.channel_labels)
+            epochs, ordinals = epoch_and_reject(filtered)
+
+            def psd(x):
+                freqs, p = sps.welch(x, fs=fs, window="hamming", nperseg=nperseg,
+                                     noverlap=nperseg // 2, detrend="constant",
+                                     scaling="density")
+                return np.apply_along_axis(lambda r: np.interp(FREQ_GRID, freqs, r), -1, p)
+
+            power = psd(epochs[:, [O1_INDEX, O2_INDEX]]) @ _BAND_WEIGHTS
+            scores = np.mean(power[..., _ALPHA] / power[..., _TOTAL], axis=1)
+            picked = np.sort(np.argsort(-scores, kind="stable")[:min(len(epochs), 6)])
+            rows += [[entry.subject_id, entry.path.stem, str(k)] for k in ordinals[picked]]
+            spectra.append(psd(epochs[picked]))
+        assert [r[1:] for r in read_csv(wd / "provenance.csv")[1:]] == rows
+        want = np.concatenate(spectra)
+        got = load_tensor(wd / "tensor.bin").data
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
 
     def test_project_via_manifest(self, workdir):
         wd, cfg = workdir
@@ -634,6 +690,32 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == []
+
+    def test_ingest_stages_load_no_scipy(self, workdir):
+        # band-pass and Welch are numpy alone, so neither preprocess nor
+        # project --manifest pays any scipy start-up
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def scipy_modules(*stage):
+            probe = (
+                "import sys\n"
+                "from eegfactor.cli import main\n"
+                f"assert main({base + list(stage)!r}) == 0\n"
+                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            )
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            return out.stdout.splitlines()[-1].split()
+
+        manifest = str(wd / "manifest.csv")
+        assert scipy_modules("preprocess", "--manifest", manifest) == []
+        assert run(*base, "decompose", "--rank", "2") == 0
+        assert scipy_modules("project", "--manifest", manifest) == []
+        assert len(read_csv(wd / "weights.csv")) > 1
 
     def test_diffit_loads_no_scipy(self):
         # DIFFIT's ALS solves its Gramian systems with numpy alone, so the

@@ -18,7 +18,15 @@ from eegfactor import (
 from eegfactor import cli
 from eegfactor.channels import CHANNELS, CZ_INDEX, O1_INDEX, O2_INDEX
 from eegfactor.edf import ManifestEntry
-from eegfactor.preprocess import _ALPHA, _BAND_WEIGHTS, _TOTAL, BANDS, FREQ_GRID, PIB_NAMES
+from eegfactor.preprocess import (
+    _ALPHA,
+    _BAND_WEIGHTS,
+    _TOTAL,
+    BANDS,
+    FREQ_GRID,
+    PIB_NAMES,
+    _butter_bandpass,
+)
 
 FS = 256.0
 
@@ -67,14 +75,17 @@ class TestBandpass:
         assert abs(out.samples.mean()) < 1.0  # <1% of the 100 uV offset
 
     def test_rows_equal_one_stacked_filter(self):
-        # the per-channel filter must give the same bits as one axis=1 call
+        # all channels go through the block cascade at once; each row matches
+        # one stacked sosfiltfilt call to roundoff, not bit for bit, as a
+        # numpy kernel cannot reproduce scipy's summation order
         from scipy import signal as sps
 
         rec = make_recording(seed=5, duration=30.0)
         sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=rec.sample_rate, output="sos")
         out = bandpass(rec)
         assert out.samples.flags.c_contiguous and not out.samples.flags.writeable
-        assert np.array_equal(out.samples, sps.sosfiltfilt(sos, rec.samples, axis=1))
+        want = sps.sosfiltfilt(sos, rec.samples, axis=1)
+        assert within_row_max(out.samples, want, 1e-10)
 
     def test_rate_too_low(self):
         rec = Recording(
@@ -82,6 +93,98 @@ class TestBandpass:
         )
         with pytest.raises(ArgumentError):
             bandpass(rec, 0.5, 45.0)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 45.0), (-1.0, 45.0), (45.0, 45.0),
+                                       (50.0, 45.0), (0.5, 128.0), (0.5, 200.0)])
+    def test_band_edges_outside_the_band_rejected(self, lo, hi):
+        rec = Recording(samples=np.zeros((19, 2560)), sample_rate=FS, channel_labels=CHANNELS)
+        with pytest.raises(ArgumentError):
+            bandpass(rec, lo, hi)
+
+    @pytest.mark.parametrize("order", [0, -2, 2.5])
+    def test_order_not_a_positive_integer_rejected(self, order):
+        rec = Recording(samples=np.zeros((19, 2560)), sample_rate=FS, channel_labels=CHANNELS)
+        with pytest.raises(ArgumentError):
+            bandpass(rec, order=order)
+
+    @pytest.mark.parametrize("order,n", [(8, 51), (8, 40), (2, 15), (1, 1)])
+    def test_input_not_longer_than_the_extension_rejected(self, order, n):
+        # the odd extension takes 3 * (2 * order + 1) samples from each end
+        rec = Recording(samples=np.ones((19, n)), sample_rate=FS, channel_labels=CHANNELS)
+        with pytest.raises(ArgumentError, match="odd extension"):
+            bandpass(rec, order=order)
+
+    def test_shortest_input_filtered(self):
+        from scipy import signal as sps
+
+        rng = np.random.default_rng(6)
+        rec = Recording(samples=rng.standard_normal((3, 52)), sample_rate=FS,
+                        channel_labels=CHANNELS[:3])
+        sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=FS, output="sos")
+        assert within_row_max(bandpass(rec).samples,
+                              sps.sosfiltfilt(sos, rec.samples, axis=1), 1e-10)
+
+
+def within_row_max(got, want, tol):
+    """True when every entry of ``got`` is within ``tol`` times its row's
+    largest magnitude in ``want``."""
+    return bool(np.all(np.abs(got - want) <= tol * np.abs(want).max(axis=-1, keepdims=True)))
+
+
+ORACLE_RATES = (128.0, 200.0, 250.0, 256.0, 500.0)
+ORACLE_EDGES = ((0.5, 45.0), (1.0, 40.0), (8.0, 12.0))
+
+
+class TestScipyOracle:
+    """The numpy kernels against ``scipy.signal``, which only the tests import."""
+
+    @pytest.mark.parametrize("order", range(2, 11))
+    def test_design_matches_butter(self, order):
+        from scipy import signal as sps
+
+        for fs in ORACLE_RATES:
+            for lo, hi in ORACLE_EDGES:
+                want = sps.butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
+                np.testing.assert_allclose(_butter_bandpass(order, lo, hi, fs), want,
+                                           rtol=1e-12, atol=0)
+
+    def test_bandpass_matches_sosfiltfilt_at_the_default_config(self):
+        from scipy import signal as sps
+
+        rec = make_recording(seed=8, duration=120.0)
+        sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=rec.sample_rate, output="sos")
+        want = np.stack([sps.sosfiltfilt(sos, row) for row in rec.samples])
+        assert within_row_max(bandpass(rec).samples, want, 1e-10)
+
+    @pytest.mark.parametrize("order", range(2, 11))
+    def test_bandpass_matches_sosfiltfilt_over_the_grid(self, order):
+        from scipy import signal as sps
+
+        rng = np.random.default_rng(order)
+        for fs in ORACLE_RATES:
+            for lo, hi in ORACLE_EDGES[:2]:
+                # a length that is no multiple of the block or the chunk
+                x = 40.0 * rng.standard_normal((2, int(7.3 * fs))) + 15.0
+                rec = Recording(samples=x, sample_rate=fs, channel_labels=CHANNELS[:2])
+                sos = sps.butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
+                want = sps.sosfiltfilt(sos, x, axis=1)
+                assert within_row_max(bandpass(rec, lo, hi, order).samples, want, 1e-8)
+
+    @pytest.mark.parametrize("fs", ORACLE_RATES + (250.2, 250.5))
+    def test_welch_matches_scipy_welch(self, fs):
+        # at 250.2 Hz the 500-sample segment's bins are 0.5004 Hz apart, so
+        # the 1 Hz grid point reads the 0.5 Hz bin that the detrend sets;
+        # 250.5 Hz gives an odd 501-sample segment, with no Nyquist bin
+        from scipy import signal as sps
+
+        rng = np.random.default_rng(int(fs))
+        x = 30.0 * rng.standard_normal((3, 19, int(10 * fs) + 3)) + 4.0
+        nperseg = int(round(2.0 * fs))
+        freqs, psd = sps.welch(x, fs=fs, window="hamming", nperseg=nperseg,
+                               noverlap=nperseg // 2, detrend="constant", scaling="density")
+        want = np.apply_along_axis(lambda row: np.interp(FREQ_GRID, freqs, row), -1, psd)
+        got = welch(x, fs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEpochAndReject:
