@@ -1,7 +1,9 @@
 """The 19-channel 10-20 montage used throughout the pipeline.
 
-Channel order is fixed; artifact rejection assumes Cz at index 17 and the
-awake-epoch heuristic assumes O1/O2 at indices 7/15.
+Channel order is fixed: ``edf.select_channels`` puts every recording's rows
+in this order, and the signal chain after it reads channels by row, not by
+label.  Artifact rejection reads Cz at ``CZ_INDEX`` (17) and the awake-epoch
+heuristic reads O1/O2 at ``O1_INDEX``/``O2_INDEX`` (7/15).
 """
 
 CHANNELS = (

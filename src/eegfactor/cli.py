@@ -44,8 +44,7 @@ from .preprocess import (
     PIB_NAMES,
     WELCH_SEGMENT_SECONDS,
     bandpass,
-    check_duration,
-    check_sample_rate,
+    check_recording,
     epoch_and_reject,
     invalid_spectra,
     pib,
@@ -423,20 +422,22 @@ def _preprocess_recording(entry, cfg):
     """The spectra of one manifest entry's kept epochs and their ids; the
     ids name the recording by its file stem and the entry's subject."""
     pp = cfg["preprocess"]
-    rec = select_channels(read_edf_file(entry.path))
-    recording_id, sample_rate = entry.path.stem, rec.sample_rate
+    rec = read_edf_file(entry.path)
+    recording_id, fs = entry.path.stem, rec.sample_rate
     try:
-        check_sample_rate(sample_rate, pp["band_hi_hz"])
-        check_duration(rec, pp["epoch_seconds"])
-        rec = bandpass(rec, pp["band_lo_hz"], pp["band_hi_hz"], order=pp["filter_order"])
-        epochs, ordinals = epoch_and_reject(rec, pp["epoch_seconds"], pp["rejection_sigma"])
-        # the epochs are a copy: free the filtered recording before scoring, so
-        # the Welch temporaries below reuse its memory instead of growing the heap
+        # each step copies: free the file's channels before filtering, and the
+        # filtered recording before scoring so the Welch temporaries reuse it
+        samples = select_channels(rec)
         del rec
-        picked = select_awake_epochs(epochs, sample_rate, pp["min_epochs"], pp["max_epochs"])
+        check_recording(samples.shape[1], fs, pp["band_hi_hz"], pp["filter_order"],
+                        pp["epoch_seconds"])
+        samples = bandpass(samples, fs, pp["band_lo_hz"], pp["band_hi_hz"], pp["filter_order"])
+        epochs, ordinals = epoch_and_reject(samples, fs, pp["epoch_seconds"], pp["rejection_sigma"])
+        del samples
+        picked = select_awake_epochs(epochs, fs, pp["min_epochs"], pp["max_epochs"])
     except IngestError as exc:
         raise IngestError(f"recording {recording_id} {exc}") from None
-    spectra = [welch(epochs[i], sample_rate) for i in picked]
+    spectra = [welch(epochs[i], fs) for i in picked]
     return spectra, [(entry.subject_id, recording_id, k) for k in ordinals[picked].tolist()]
 
 

@@ -37,8 +37,8 @@ class Recording:
     def __post_init__(self):
         arr = self.samples
         # a read-only float64 array that owns its data cannot change under
-        # the recording, so the signal chain hands its fresh arrays over
-        # without one more full-recording copy per step
+        # the recording, so read_edf hands its fresh array over without a
+        # second full-recording copy
         if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
                 and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
             arr = np.array(arr, dtype=np.float64, order="C")
@@ -60,10 +60,6 @@ class Recording:
     @property
     def n_channels(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[1] / self.sample_rate
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +324,12 @@ def _normalize_label(label: str) -> str:
     return s.strip()
 
 
-def select_channels(r: Recording) -> Recording:
-    """Reorder channels to the 19-channel montage ``CHANNELS``.
+def select_channels(r: Recording) -> np.ndarray:
+    """The read-only (19, n) montage of ``r``: row i is channel ``CHANNELS[i]``.
 
     Matching is case-insensitive after stripping the "EEG " prefix and
-    "-REF"/"-LE" suffixes; output labels are the canonical names.
+    "-REF"/"-LE" suffixes.  A missing channel is an IngestError that reads
+    as a predicate ("lacks channels: Cz, Pz"); the caller names the recording.
     """
     available = {}
     for i, label in enumerate(r.channel_labels):
@@ -345,18 +342,10 @@ def select_channels(r: Recording) -> Recording:
         else:
             indices.append(idx)
     if missing:
-        raise IngestError(
-            f"recording {r.recording_id or '<unnamed>'} lacks channels: {', '.join(missing)}"
-        )
+        raise IngestError(f"lacks channels: {', '.join(missing)}")
     samples = r.samples[indices]
     samples.flags.writeable = False
-    return Recording(
-        samples=samples,
-        sample_rate=r.sample_rate,
-        channel_labels=CHANNELS,
-        recording_id=r.recording_id,
-        subject_id=r.subject_id,
-    )
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
-"""Recording-to-spectrum preprocessing chain on plain numpy arrays.
+"""Montage-to-spectrum preprocessing chain on plain numpy arrays.
 
-The chain per recording: zero-phase band-pass (``bandpass``), contiguous
-10-s epoching with high-power Cz rejection (``epoch_and_reject``: a (k, 19, n)
-stack of kept epochs and their ordinals), awake-epoch selection by posterior
-alpha (``select_awake_epochs``: positions into that stack), and Welch power
+Each kernel takes an array, its sample rate and its settings, starting from
+the (19, n) montage of ``edf.select_channels``, rows in ``CHANNELS`` order:
+zero-phase band-pass (``bandpass``), contiguous 10-s epoching with
+high-power Cz rejection (``epoch_and_reject``: a (k, 19, n) stack of kept
+epochs and their ordinals), awake-epoch selection by posterior alpha
+(``select_awake_epochs``: positions into that stack), and Welch power
 spectral densities on a fixed 1.0-45.0 Hz grid (``welch``: any (..., n) stack
 to its (..., 89) spectra in one call).  Selection Welches the O1 and O2 rows
 of all k epochs in one call; the caller Welches each picked (19, n) epoch,
 stacks the spectra into the population tensor and records each row's
-(subject, recording, epoch) origin.  The arrays carry no names, so the
-IngestErrors of epoching and selection read as predicates ("holds fewer than
-2 epochs"); the caller prefixes the recording.  Power-in-bands (PIB) baseline
-features live here too; ``pib`` takes one (19, 89) spectrum or a stack of
-them, as the tensor holds.
+(subject, recording, epoch) origin.  ``check_recording`` holds every rule
+that refuses a recording, for the caller to run before filtering.  The
+arrays carry no names, so IngestErrors read as predicates ("holds fewer
+than 2 epochs"); the caller prefixes the recording.  Power-in-bands (PIB)
+features live here too; ``pib`` takes one (19, 89) spectrum or a stack.
 
 The signal kernels are numpy alone, and no stage imports ``scipy.signal``
 (its import cost each fresh stage interpreter about a second and 70 MB).
@@ -36,7 +38,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import CHANNELS, CZ_INDEX, O1_INDEX, O2_INDEX
-from .edf import Recording
 from .errors import ArgumentError, IngestError
 
 # fixed spectral grid: 1.0 .. 45.0 Hz in 0.5 Hz steps
@@ -92,16 +93,37 @@ def invalid_spectra(psd: np.ndarray) -> np.ndarray:
     return ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
 
 
-def check_sample_rate(sample_rate: float, hi: float):
-    """Refuse, as an IngestError, a recording rate that cannot carry the band
-    edge ``hi`` (``bandpass``) or the 45 Hz Welch grid (``welch``), so a
-    caller skips the recording before it is filtered."""
+def _odd_extension(order: int) -> int:
+    """The samples ``bandpass`` reflects at each end; a recording must be longer."""
+    return 3 * (2 * order + 1)
+
+
+def _whole_epochs(n_samples: int, sample_rate: float, epoch_seconds: float) -> tuple[int, int]:
+    """Samples per epoch and whole epochs in ``n_samples``; fewer than 2 is an IngestError."""
+    n_per = int(round(epoch_seconds * sample_rate))
+    n_epochs = n_samples // n_per
+    if n_epochs < 2:
+        raise IngestError(f"holds fewer than 2 epochs ({n_samples / sample_rate:.1f} s)")
+    return n_per, n_epochs
+
+
+def check_recording(n_samples: int, sample_rate: float, hi: float = 45.0, order: int = 8,
+                    epoch_seconds: float = 10.0):
+    """Refuse, as an IngestError, ``n_samples`` at ``sample_rate`` Hz whose
+    rate cannot carry the band edge ``hi`` or the 45 Hz Welch grid, that hold
+    fewer than 2 epochs, or no more than the order-``order`` band-pass's odd
+    extension: every rule on which a caller skips a recording unfiltered."""
     if sample_rate <= 2.0 * hi:
         raise IngestError(f"has sample rate {sample_rate} Hz, which cannot support "
                           f"a {hi} Hz band edge")
     if sample_rate < _WELCH_MIN_RATE:
         raise IngestError(f"has sample rate {sample_rate} Hz, which cannot support "
                           "the 45 Hz grid")
+    _whole_epochs(n_samples, sample_rate, epoch_seconds)
+    edge = _odd_extension(order)
+    if n_samples <= edge:
+        raise IngestError(f"has {n_samples} samples, no more than the {edge}-sample odd "
+                          f"extension of an order-{order} band-pass")
 
 
 def _butter_bandpass(order: int, lo: float, hi: float, fs: float) -> np.ndarray:
@@ -216,34 +238,35 @@ class _BlockCascade:
         return state
 
 
-def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) -> Recording:
-    """Zero-phase Butterworth band-pass: ``scipy.signal.sosfiltfilt`` of the
-    ``_butter_bandpass`` cascade along each channel, to roundoff.
+def bandpass(samples: np.ndarray, sample_rate: float, lo: float = 0.5, hi: float = 45.0,
+             order: int = 8) -> np.ndarray:
+    """The read-only zero-phase Butterworth band-pass of each row of a
+    (channels, n) array: ``scipy.signal.sosfiltfilt`` of the
+    ``_butter_bandpass`` cascade, to roundoff.
 
-    The recording is extended at both ends by an odd reflection of
-    3 * (2 * order + 1) samples, filtered forward from the steady state of its
-    first sample, then backward from the steady state of the forward pass's
-    last sample, and cut back to its own span.  Both passes run in chunks of
-    ``_CHUNK`` samples, for all channels at once, through ``_BlockCascade``;
-    the backward pass overwrites the forward output in place, and its
-    output over the leading extension, which the cut discards, is never
-    computed.
+    The rows are extended at both ends by an odd reflection of
+    3 * (2 * order + 1) samples, filtered forward from the steady state of
+    their first sample, then backward from the steady state of the forward
+    pass's last sample, and cut back to their own span.  Both passes run in
+    chunks of ``_CHUNK`` samples, for all channels at once, through
+    ``_BlockCascade``; the backward pass overwrites the forward output in
+    place, and its output over the leading extension is never computed.
     """
     if not 0 < lo < hi:
         raise ArgumentError(f"band edges must satisfy 0 < lo < hi, got {lo} and {hi} Hz")
-    if r.sample_rate <= 2.0 * hi:
-        raise ArgumentError(
-            f"sample rate {r.sample_rate} Hz cannot support a {hi} Hz band edge"
-        )
+    if sample_rate <= 2.0 * hi:
+        raise ArgumentError(f"sample rate {sample_rate} Hz cannot support a {hi} Hz band edge")
     if order < 1 or int(order) != order:
         raise ArgumentError(f"filter order must be an integer >= 1, got {order}")
     order = int(order)
-    x = np.asarray(r.samples, dtype=np.float64)
-    edge = 3 * (2 * order + 1)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2:
+        raise ArgumentError(f"samples must be a (channels, n) array, got shape {x.shape}")
+    edge = _odd_extension(order)
     if x.shape[1] <= edge:
         raise ArgumentError(f"recording of {x.shape[1]} samples is not longer than the "
                             f"{edge}-sample odd extension of an order-{order} band-pass")
-    cascade = _BlockCascade(_butter_bandpass(order, lo, hi, r.sample_rate))
+    cascade = _BlockCascade(_butter_bandpass(order, lo, hi, sample_rate))
     filtered = np.empty(x.shape)
     head = 2.0 * x[:, :1] - x[:, edge:0:-1]
     tail = 2.0 * x[:, -1:] - x[:, -2:-edge - 2:-1]
@@ -263,46 +286,27 @@ def bandpass(r: Recording, lo: float = 0.5, hi: float = 45.0, order: int = 8) ->
         state = cascade.run(reverse, state, out)
         filtered[:, span] = out[:, ::-1]
     filtered.flags.writeable = False
-    return Recording(
-        samples=filtered,
-        sample_rate=r.sample_rate,
-        channel_labels=r.channel_labels,
-        recording_id=r.recording_id,
-        subject_id=r.subject_id,
-    )
-
-
-def check_duration(r: Recording, epoch_seconds: float = 10.0) -> tuple[int, int]:
-    """The samples per epoch and the number of whole epochs in ``r``; refuse,
-    as an IngestError, a recording of fewer than 2 epochs, so a caller skips
-    it before it is filtered."""
-    n_per = int(round(epoch_seconds * r.sample_rate))
-    n_epochs = r.samples.shape[1] // n_per
-    if n_epochs < 2:
-        raise IngestError(f"holds fewer than 2 epochs ({r.duration:.1f} s)")
-    return n_per, n_epochs
+    return filtered
 
 
 def epoch_and_reject(
-    r: Recording, epoch_seconds: float = 10.0, sigma: float = 2.0
+    samples: np.ndarray, sample_rate: float, epoch_seconds: float = 10.0, sigma: float = 2.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cut contiguous non-overlapping epochs, dropping high-power Cz epochs.
+    """Cut a (19, n) montage into contiguous non-overlapping epochs,
+    dropping high-power Cz epochs.
 
-    Returns the kept epochs as a read-only (k, channels, samples) stack and
-    their ordinals within the recording, counted before rejection.  An epoch
-    is dropped when its Cz total power exceeds mean + sigma*std of the
-    per-epoch Cz powers of this recording (strictly greater, one-sided).
-    The sub-epoch remainder at the end of the recording is discarded.
+    Returns the kept epochs as a read-only (k, 19, samples) stack and their
+    ordinals within the recording, counted before rejection.  An epoch is
+    dropped when the total power of its Cz row, ``CZ_INDEX``, exceeds
+    mean + sigma*std of the per-epoch Cz powers of this recording (strictly
+    greater, one-sided).  The sub-epoch remainder is discarded.
     """
-    try:
-        cz = r.channel_labels.index("Cz")
-    except ValueError:
-        raise IngestError("has no Cz channel; run channel selection first") from None
-    if cz != CZ_INDEX and len(r.channel_labels) == len(CHANNELS):
-        raise IngestError("has its channels out of canonical order")
-    n_per, n_epochs = check_duration(r, epoch_seconds)
-    segments = r.samples[:, : n_epochs * n_per].reshape(r.n_channels, n_epochs, n_per)
-    power = np.sum(segments[cz] ** 2, axis=1)
+    if np.ndim(samples) != 2 or len(samples) != len(CHANNELS):
+        raise ArgumentError(f"samples must be the ({len(CHANNELS)}, n) montage, "
+                            f"got shape {np.shape(samples)}")
+    n_per, n_epochs = _whole_epochs(samples.shape[1], sample_rate, epoch_seconds)
+    segments = samples[:, : n_epochs * n_per].reshape(len(CHANNELS), n_epochs, n_per)
+    power = np.sum(segments[CZ_INDEX] ** 2, axis=1)
     kept = np.flatnonzero(~(power > power.mean() + sigma * power.std()))
     epochs = segments.transpose(1, 0, 2)[kept]
     epochs.flags.writeable = False

@@ -181,10 +181,10 @@ class TestEdfRoute:
         assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
         epochs = {}
         for entry in read_manifest(wd / "manifest.csv"):
-            rec = bandpass(select_channels(read_edf_file(entry.path)))
-            stack, ordinals = epoch_and_reject(rec)
-            epochs[entry.path.stem] = (entry.subject_id, rec.sample_rate,
-                                       dict(zip(ordinals.tolist(), stack)))
+            rec = read_edf_file(entry.path)
+            fs = rec.sample_rate
+            stack, ordinals = epoch_and_reject(bandpass(select_channels(rec), fs), fs)
+            epochs[entry.path.stem] = (entry.subject_id, fs, dict(zip(ordinals.tolist(), stack)))
         t = load_tensor(wd / "tensor.bin")
         prov = read_csv(wd / "provenance.csv")[1:]
         assert t.dims[0] == len(prov) == 2 * 3
@@ -249,6 +249,49 @@ class TestEdfRoute:
                 "(0.2 s)") in capsys.readouterr().err
         assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
 
+    @pytest.mark.parametrize("stage", ["preprocess", "project"])
+    def test_recording_within_the_odd_extension_skips_the_recording(self, workdir, capsys,
+                                                                    stage):
+        # at order 70 the band-pass reflects 423 samples at each end: a 4.2-s,
+        # 100 Hz recording holds two 2-s epochs but only 420 samples, so it
+        # is refused before it is filtered and skipped with the usual warning
+        wd, cfg = workdir
+        cfg.write_text(CONFIG.replace("  filter_order: 8\n",
+                                      "  filter_order: 70\n  epoch_seconds: 2.0\n"))
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        if stage == "project":
+            assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+            assert run(*base, "decompose", "--rank", "2") == 0
+        short = make_recording(seed=1, sample_rate=100.0, duration=4.2)
+        assert short.samples.shape == (19, 420)
+        (wd / "rec_001.edf").write_bytes(write_edf(short))
+        capsys.readouterr()
+        assert run(*base, stage, "--manifest", str(wd / "manifest.csv")) == 0
+        assert ("warning: skipping rec_001.edf: recording rec_001 has 420 samples, no more "
+                "than the 423-sample odd extension of an order-70 band-pass"
+                ) in capsys.readouterr().err
+        out = "provenance.csv" if stage == "preprocess" else "weights.csv"
+        column = 2 if stage == "preprocess" else 1
+        assert {r[column] for r in read_csv(wd / out)[1:]} == {"rec_000"}
+
+    def test_missing_channels_warning_names_the_file_stem(self, workdir, capsys):
+        # the EDF's own recording field is empty; the warning names the file
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        rec = make_recording(seed=1, duration=50.0)
+        reduced = Recording(samples=rec.samples[:17], sample_rate=rec.sample_rate,
+                            channel_labels=rec.channel_labels[:17])
+        (wd / "rec_001.edf").write_bytes(write_edf(reduced))
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        assert ("warning: skipping rec_001.edf: recording rec_001 lacks channels: Cz, Pz\n"
+                in capsys.readouterr().err)
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+
     def test_provenance_matches_a_scipy_chain(self, workdir):
         # preprocess picks the epochs that a chain built from scipy.signal's
         # butter, sosfiltfilt and welch picks, and their spectra agree to
@@ -262,12 +305,11 @@ class TestEdfRoute:
         assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
         rows, spectra = [], []
         for entry in read_manifest(wd / "manifest.csv"):
-            rec = select_channels(read_edf_file(entry.path))
+            rec = read_edf_file(entry.path)
             fs, nperseg = rec.sample_rate, int(round(2.0 * rec.sample_rate))
             sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=fs, output="sos")
-            filtered = Recording(samples=sps.sosfiltfilt(sos, rec.samples, axis=1),
-                                 sample_rate=fs, channel_labels=rec.channel_labels)
-            epochs, ordinals = epoch_and_reject(filtered)
+            epochs, ordinals = epoch_and_reject(
+                sps.sosfiltfilt(sos, select_channels(rec), axis=1), fs)
 
             def psd(x):
                 freqs, p = sps.welch(x, fs=fs, window="hamming", nperseg=nperseg,

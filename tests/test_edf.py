@@ -173,14 +173,12 @@ class TestSelectChannels:
     def test_decorated_labels_matched_and_reordered(self):
         noisy, shuffled, original = self.decorated_style()
         out = select_channels(noisy)
-        assert out.channel_labels == CHANNELS
-        np.testing.assert_array_equal(out.samples, original.samples)
+        assert out.shape == (19, noisy.samples.shape[1]) and not out.flags.writeable
+        np.testing.assert_array_equal(out, original.samples)
 
     def test_identity_on_canonical(self):
         rec = make_recording(seed=7, duration=20.0)
-        out = select_channels(rec)
-        assert out.channel_labels == CHANNELS
-        np.testing.assert_array_equal(out.samples, rec.samples)
+        np.testing.assert_array_equal(select_channels(rec), rec.samples)
 
     def test_missing_channel_listed(self):
         rec = make_recording(seed=8, duration=20.0)
@@ -191,13 +189,13 @@ class TestSelectChannels:
         )
         with pytest.raises(IngestError) as exc:
             select_channels(reduced)
-        assert "Cz" in str(exc.value)
-        assert "Pz" in str(exc.value)
+        # a predicate: the caller names the recording
+        assert str(exc.value) == "lacks channels: Cz, Pz"
 
     def test_cz_lands_at_index_17(self):
         noisy, _, _ = self.decorated_style()
         out = select_channels(noisy)
-        assert out.channel_labels[17] == "Cz"
+        np.testing.assert_array_equal(out[17], noisy.samples[noisy.channel_labels.index("EEG CZ-REF")])
 
 
 class TestMixedRates:

@@ -6,7 +6,6 @@ import pytest
 from eegfactor import (
     ArgumentError,
     IngestError,
-    Recording,
     bandpass,
     epoch_and_reject,
     make_recording,
@@ -26,6 +25,8 @@ from eegfactor.preprocess import (
     FREQ_GRID,
     PIB_NAMES,
     _butter_bandpass,
+    _odd_extension,
+    check_recording,
 )
 
 FS = 256.0
@@ -38,7 +39,7 @@ def tone_recording(freq, amp=1.0, seconds=60.0, fs=FS, noise=0.0, seed=0):
     samples = np.tile(x, (19, 1))
     if noise:
         samples = samples + noise * rng.standard_normal(samples.shape)
-    return Recording(samples=samples, sample_rate=fs, channel_labels=CHANNELS)
+    return samples
 
 
 def rms(x):
@@ -53,26 +54,21 @@ def central(x, frac=0.8):
 
 class TestBandpass:
     def test_passband_10hz_within_1db(self):
-        rec = tone_recording(10.0)
-        out = bandpass(rec)
-        gain_db = 20 * np.log10(rms(central(out.samples[0])) / rms(central(rec.samples[0])))
+        x = tone_recording(10.0)
+        out = bandpass(x, FS)
+        gain_db = 20 * np.log10(rms(central(out[0])) / rms(central(x[0])))
         assert abs(gain_db) < 1.0
 
     def test_stopband_60hz_at_least_40db(self):
         # needs a rate that can represent 60 Hz
-        rec = tone_recording(60.0, fs=256.0)
-        out = bandpass(rec)
-        atten_db = 20 * np.log10(rms(central(rec.samples[0])) / rms(central(out.samples[0])))
+        x = tone_recording(60.0, fs=256.0)
+        out = bandpass(x, 256.0)
+        atten_db = 20 * np.log10(rms(central(x[0])) / rms(central(out[0])))
         assert atten_db >= 40.0
 
     def test_dc_removed(self):
-        rec = Recording(
-            samples=np.full((19, int(60 * FS)), 100.0),
-            sample_rate=FS,
-            channel_labels=CHANNELS,
-        )
-        out = bandpass(rec)
-        assert abs(out.samples.mean()) < 1.0  # <1% of the 100 uV offset
+        out = bandpass(np.full((19, int(60 * FS)), 100.0), FS)
+        assert abs(out.mean()) < 1.0  # <1% of the 100 uV offset
 
     def test_rows_equal_one_stacked_filter(self):
         # all channels go through the block cascade at once; each row matches
@@ -82,47 +78,74 @@ class TestBandpass:
 
         rec = make_recording(seed=5, duration=30.0)
         sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=rec.sample_rate, output="sos")
-        out = bandpass(rec)
-        assert out.samples.flags.c_contiguous and not out.samples.flags.writeable
+        out = bandpass(rec.samples, rec.sample_rate)
+        assert out.flags.c_contiguous and not out.flags.writeable
         want = sps.sosfiltfilt(sos, rec.samples, axis=1)
-        assert within_row_max(out.samples, want, 1e-10)
+        assert within_row_max(out, want, 1e-10)
 
     def test_rate_too_low(self):
-        rec = Recording(
-            samples=np.zeros((19, 800)), sample_rate=80.0, channel_labels=CHANNELS
-        )
-        with pytest.raises(ArgumentError):
-            bandpass(rec, 0.5, 45.0)
+        with pytest.raises(ArgumentError, match="80.0 Hz cannot support a 45.0 Hz band edge"):
+            bandpass(np.zeros((19, 800)), 80.0, 0.5, 45.0)
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 45.0), (-1.0, 45.0), (45.0, 45.0),
                                        (50.0, 45.0), (0.5, 128.0), (0.5, 200.0)])
     def test_band_edges_outside_the_band_rejected(self, lo, hi):
-        rec = Recording(samples=np.zeros((19, 2560)), sample_rate=FS, channel_labels=CHANNELS)
-        with pytest.raises(ArgumentError):
-            bandpass(rec, lo, hi)
+        # lo <= 0 or lo >= hi breaks the band; hi >= FS / 2 breaks the rate
+        with pytest.raises(ArgumentError, match="band edge"):
+            bandpass(np.zeros((19, 2560)), FS, lo, hi)
 
     @pytest.mark.parametrize("order", [0, -2, 2.5])
     def test_order_not_a_positive_integer_rejected(self, order):
-        rec = Recording(samples=np.zeros((19, 2560)), sample_rate=FS, channel_labels=CHANNELS)
-        with pytest.raises(ArgumentError):
-            bandpass(rec, order=order)
+        with pytest.raises(ArgumentError, match="filter order"):
+            bandpass(np.zeros((19, 2560)), FS, order=order)
 
     @pytest.mark.parametrize("order,n", [(8, 51), (8, 40), (2, 15), (1, 1)])
     def test_input_not_longer_than_the_extension_rejected(self, order, n):
         # the odd extension takes 3 * (2 * order + 1) samples from each end
-        rec = Recording(samples=np.ones((19, n)), sample_rate=FS, channel_labels=CHANNELS)
         with pytest.raises(ArgumentError, match="odd extension"):
-            bandpass(rec, order=order)
+            bandpass(np.ones((19, n)), FS, order=order)
 
     def test_shortest_input_filtered(self):
         from scipy import signal as sps
 
-        rng = np.random.default_rng(6)
-        rec = Recording(samples=rng.standard_normal((3, 52)), sample_rate=FS,
-                        channel_labels=CHANNELS[:3])
+        x = np.random.default_rng(6).standard_normal((3, 52))
         sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=FS, output="sos")
-        assert within_row_max(bandpass(rec).samples,
-                              sps.sosfiltfilt(sos, rec.samples, axis=1), 1e-10)
+        assert within_row_max(bandpass(x, FS), sps.sosfiltfilt(sos, x, axis=1), 1e-10)
+
+
+class TestCheckRecording:
+    """Every rule on which the CLI skips a recording, as an IngestError."""
+
+    @pytest.mark.parametrize("fs,hi,reason", [
+        (64.0, 45.0, "64.0 Hz, which cannot support a 45.0 Hz band edge"),
+        (90.0, 40.0, "90.0 Hz, which cannot support the 45 Hz grid"),
+    ], ids=["band-edge", "grid"])
+    def test_unusable_rate_refused(self, fs, hi, reason):
+        with pytest.raises(IngestError, match=f"has sample rate {reason}"):
+            check_recording(int(60 * fs), fs, hi)
+
+    def test_fewer_than_2_epochs_refused(self):
+        with pytest.raises(IngestError, match=r"holds fewer than 2 epochs \(19.9 s\)"):
+            check_recording(int(19.9 * FS), FS)
+        check_recording(int(20 * FS), FS)
+
+    def test_rate_checked_before_length(self):
+        with pytest.raises(IngestError, match="band edge"):
+            check_recording(10, 64.0)
+
+    def test_no_longer_than_the_odd_extension_refused(self):
+        # at order 70 the extension outgrows two 2-s epochs at 100 Hz; the
+        # recordings check_recording admits are the ones bandpass takes
+        edge = _odd_extension(70)
+        assert edge > 2 * 200
+        with pytest.raises(IngestError, match=f"has {edge} samples, no more than the "
+                                              f"{edge}-sample odd extension of an "
+                                              "order-70 band-pass"):
+            check_recording(edge, 100.0, 45.0, 70, 2.0)
+        with pytest.raises(ArgumentError, match="odd extension"):
+            bandpass(np.ones((19, edge)), 100.0, order=70)
+        check_recording(edge + 1, 100.0, 45.0, 70, 2.0)
+        assert bandpass(np.ones((19, edge + 1)), 100.0, order=70).shape == (19, edge + 1)
 
 
 def within_row_max(got, want, tol):
@@ -154,7 +177,7 @@ class TestScipyOracle:
         rec = make_recording(seed=8, duration=120.0)
         sos = sps.butter(8, [0.5, 45.0], btype="bandpass", fs=rec.sample_rate, output="sos")
         want = np.stack([sps.sosfiltfilt(sos, row) for row in rec.samples])
-        assert within_row_max(bandpass(rec).samples, want, 1e-10)
+        assert within_row_max(bandpass(rec.samples, rec.sample_rate), want, 1e-10)
 
     @pytest.mark.parametrize("order", range(2, 11))
     def test_bandpass_matches_sosfiltfilt_over_the_grid(self, order):
@@ -165,10 +188,9 @@ class TestScipyOracle:
             for lo, hi in ORACLE_EDGES[:2]:
                 # a length that is no multiple of the block or the chunk
                 x = 40.0 * rng.standard_normal((2, int(7.3 * fs))) + 15.0
-                rec = Recording(samples=x, sample_rate=fs, channel_labels=CHANNELS[:2])
                 sos = sps.butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
                 want = sps.sosfiltfilt(sos, x, axis=1)
-                assert within_row_max(bandpass(rec, lo, hi, order).samples, want, 1e-8)
+                assert within_row_max(bandpass(x, fs, lo, hi, order), want, 1e-8)
 
     @pytest.mark.parametrize("fs", ORACLE_RATES + (250.2, 250.5))
     def test_welch_matches_scipy_welch(self, fs):
@@ -193,42 +215,41 @@ class TestEpochAndReject:
         samples = np.array(rec.samples)
         burst = slice(int(20 * FS), int(30 * FS))  # epoch index 2
         samples[CZ_INDEX, burst] *= 10.0
-        noisy = Recording(samples=samples, sample_rate=FS, channel_labels=CHANNELS,
-                          recording_id="burst", subject_id="s0")
-        indices = list(epoch_and_reject(noisy)[1])
+        indices = list(epoch_and_reject(samples, FS)[1])
         assert 2 not in indices
         assert indices == [0, 1, 3, 4, 5]
 
     def test_homogeneous_recording_keeps_all(self):
         x = np.tile(np.sin(2 * np.pi * 10.0 * np.arange(int(40 * FS)) / FS), (19, 1))
-        rec = Recording(samples=x, sample_rate=FS, channel_labels=CHANNELS)
-        kept, _ = epoch_and_reject(rec)
+        kept, _ = epoch_and_reject(x, FS)
         assert len(kept) == 4
 
     def test_25s_recording_gives_two_epochs(self):
         x = np.tile(np.sin(2 * np.pi * 10.0 * np.arange(int(25 * FS)) / FS), (19, 1))
-        rec = Recording(samples=x, sample_rate=FS, channel_labels=CHANNELS)
-        kept, _ = epoch_and_reject(rec)
+        kept, _ = epoch_and_reject(x, FS)
         assert len(kept) == 2
         assert kept[0].shape[1] == int(10 * FS)
 
     def test_too_short_rejected(self):
-        rec = Recording(
-            samples=np.zeros((19, int(15 * FS))), sample_rate=FS, channel_labels=CHANNELS
-        )
-        with pytest.raises(IngestError):
-            epoch_and_reject(rec)
+        with pytest.raises(IngestError, match=r"holds fewer than 2 epochs \(15.0 s\)"):
+            epoch_and_reject(np.zeros((19, int(15 * FS))), FS)
+
+    @pytest.mark.parametrize("shape", [(17, 10240), (20, 10240), (10240,), (2, 19, 10240)])
+    def test_non_montage_array_rejected(self, shape):
+        # Cz is read by row, so an array that is not the 19-row montage is refused
+        with pytest.raises(ArgumentError, match="montage"):
+            epoch_and_reject(np.zeros(shape), FS)
 
     def test_survival_rate_without_artifacts(self):
         # Gaussian-tail sanity: >= 60% of epochs survive on clean recordings
         for seed in range(10):
             rec = make_recording(seed=seed, duration=80.0, noise_uv=2.0)
-            kept, _ = epoch_and_reject(bandpass(rec))
+            kept, _ = epoch_and_reject(bandpass(rec.samples, FS), FS)
             assert len(kept) >= 0.6 * 8
 
     def test_provenance_indices(self):
         rec = make_recording(seed=2, duration=40.0)
-        kept, indices = epoch_and_reject(rec)
+        kept, indices = epoch_and_reject(rec.samples, FS)
         assert len(indices) == len(kept)
         for index in indices:
             assert 0 <= index < 4
@@ -318,15 +339,15 @@ class TestSelectAwakeEpochs:
 
     def test_filtered_recording_freed_before_scoring(self, tmp_path, monkeypatch):
         # the epochs are a copy, so _preprocess_recording drops the band-passed
-        # recording before scoring and the per-epoch Welch calls run without it
+        # array before scoring and the per-epoch Welch calls run without it
         path = tmp_path / "rec.edf"
         path.write_bytes(write_edf(make_recording(seed=2, duration=60.0)))
         refs, alive = [], []
         real_cut, real_select = cli.epoch_and_reject, cli.select_awake_epochs
 
-        def cut(rec, *args):
-            refs.extend([weakref.ref(rec), weakref.ref(rec.samples)])
-            return real_cut(rec, *args)
+        def cut(samples, *args):
+            refs.append(weakref.ref(samples))
+            return real_cut(samples, *args)
 
         def select(*args):
             alive.extend(ref() is not None for ref in refs)
@@ -336,7 +357,7 @@ class TestSelectAwakeEpochs:
         monkeypatch.setattr(cli, "select_awake_epochs", select)
         spectra, _ = cli._preprocess_recording(ManifestEntry(path, "s0", None),
                                                cli.load_config())
-        assert spectra and alive == [False, False]
+        assert spectra and alive == [False]
 
 
 def tone_epoch(freq, amp=1.0, fs=FS):
@@ -391,8 +412,8 @@ class TestWelch:
 
     def test_determinism(self):
         rec = make_recording(seed=3, duration=30.0)
-        e1 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec))[0]]
-        e2 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec))[0]]
+        e1 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec.samples, FS), FS)[0]]
+        e2 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec.samples, FS), FS)[0]]
         for a, b in zip(e1, e2):
             np.testing.assert_array_equal(a, b)
 
