@@ -30,7 +30,7 @@ from .preprocess import (
     select_awake_epochs,
     welch,
 )
-from .cpd import CpdOptions, CpdResult, cpd_als, cpd_gn, factor_match_score
+from .cpd import CpdOptions, CpdResult, cpd_als, cpd_gn
 from .rank import RankReport, diffit
 from .projection import ProjectionBasis, build_basis, project
 from .classify import (

@@ -1,36 +1,26 @@
 """CPD fitting: alternating least squares and damped Gauss-Newton.
 
 Both solvers run through one start loop, ``_best_of_starts``.  It builds the
-seeded uniform(0,1) starts (or takes the one forced ``init``) and advances
-them all in lockstep: each round, every live start takes one update, and the
-update's two large GEMMs, the partial product T = A^T X_(0) and the mode-0
-MTTKRP, run once over the stack of live starts, so a round reads the tensor
-once or twice whatever the number of starts (batched BLAS; Dongarra et al.,
-ICCS 2017).  Each start is scored with the Gram identity (``_gram_error``:
-the factor Gramians and a mode-2 MTTKRP, not a full reconstruction), keeps
-its own damping, trace, stopping rule and iteration cap, and drops out of
-the stack when it stops.  The loop returns the best start's canonically
-normalized factors and a record of every start.
+seeded uniform(0,1) starts (or takes the one forced ``init``) and holds them
+as arrays over the start axis (``_Starts``).  Each round advances the live
+starts in lockstep: the update's two large GEMMs, the partial product
+T = A^T X_(0) and the mode-0 MTTKRP, run once over their stack, so a round
+reads the tensor once or twice whatever the number of starts (batched BLAS;
+Dongarra et al., ICCS 2017).  The stack is scored with the Gram identity
+(``_gram_error``, not a full reconstruction), and the stopping rule is
+applied to all of it at once.  The loop returns the best start's
+canonically normalized factors and a record of every start.
 
 A solver supplies only its round: ``_als_round`` (one Cholesky-solved ALS
-sweep per start) or ``_gn_round`` (one Levenberg-Marquardt trial per start
-on the concatenated factor vector).  At every problem size GN takes the exact
-damped step, solving the normal equations through a 3r^2 x 3r^2 system in
-the products dn^T n that couple the three modes (``_gn_step``); neither the
-Jacobian over all tensor entries nor the r(E+S+F)-square normal matrix is
-ever materialized.  The 3r^2 x 3r^2 systems are solved start by start;
-the r x r ALS Gramians are factored as one stack (``_gram_solve``).
-
-Both solvers work on raw ``(A, B, C)`` arrays and numpy alone; their
-MTTKRPs are calls to ``mttkrp`` on stacks of factors (see
-``tensor.mttkrp``).  Only ``factor_match_score`` imports scipy
-(``linear_sum_assignment``), inside the function: every CLI stage is a fresh
-interpreter, and a module-level import would charge the ``diffit`` and
-``decompose`` stages for loading ``scipy.optimize``.
+sweep) or ``_gn_round`` (one Levenberg-Marquardt trial per start).  GN takes
+the exact damped step at every problem size, through a 3r^2 x 3r^2 system
+in the products dn^T n that couple the three modes (``_gn_step``), solved
+start by start; neither the Jacobian nor the r(E+S+F)-square normal matrix
+is ever materialized.  Both solvers use numpy alone; their MTTKRPs are
+calls to ``mttkrp`` on stacks of factors.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,30 +107,37 @@ def _uniform_init(dims, rank: int, seed: int, start: int):
 
 
 def _gram_error(t: Tensor3, normX: float, A, B, C, MC):
-    """Relative error of the CPD (A, B, C) without reconstructing the tensor.
+    """Relative errors of the CPDs in the (k, d, r) stacks (A, B, C),
+    without reconstructing the tensor.
 
-    Uses ||X - X^||^2 = ||X||^2 - 2<MC, C> + sum(ZA*ZB*ZC), where MC is the
-    caller's mode-2 MTTKRP at (A, B) and Z* are the factor Gramians.  The
-    identity cancels to about sqrt(eps) in relative error, so below a
-    relative error of 1e-4 the exact norm of the residual is taken instead.
-    Returns the error and the Gramians (ZA, ZB, ZC).
+    Uses ||X - X^||^2 = ||X||^2 - 2<MC, C> + sum(ZA*ZB*ZC), with MC the
+    caller's mode-2 MTTKRPs at (A, B) and Z* the factor Gramians; each
+    start reduces as ``np.vdot`` and ``np.sum`` of its slices do, bit for
+    bit.  The identity cancels to about sqrt(eps) in relative error, so a
+    start below a relative error of 1e-4 takes the exact residual norm.
+    Returns the (k,) errors and the Gramian stacks (ZA, ZB, ZC).
     """
-    Z = (A.T @ A, B.T @ B, C.T @ C)
-    err2 = normX * normX - 2.0 * float(np.vdot(MC, C)) + float(np.sum(Z[0] * Z[1] * Z[2]))
-    if err2 < 1e-8 * normX * normX:
-        return relative_error(t, FactorSet(A.shape[1], A, B, C, np.ones(A.shape[1]))), Z
-    return math.sqrt(err2) / normX, Z
+    k, r = len(A), A.shape[-1]
+    Z = (A.mT @ A, B.mT @ B, C.mT @ C)
+    err2 = (normX * normX - 2.0 * np.vecdot(MC.reshape(k, -1), C.reshape(k, -1))
+            + (Z[0] * Z[1] * Z[2]).sum(axis=(1, 2)))
+    exact = err2 < 1e-8 * normX * normX
+    err = np.sqrt(np.maximum(err2, 0.0)) / normX
+    err[exact] = [relative_error(t, FactorSet(r, A[i], B[i], C[i], np.ones(r)))
+                  for i in np.flatnonzero(exact)]
+    return err, Z
 
 
 def _rebalance(A, B, C):
     """Equalize per-component column norms in place; reconstruction is
-    unchanged.  A component with a zero column in any factor is left as is."""
-    norms = [np.linalg.norm(M, axis=0) for M in (A, B, C)]
+    unchanged.  A component with a zero column in any factor is left as is.
+    The factors are (d, r) matrices or (k, d, r) stacks of them."""
+    norms = [np.linalg.norm(M, axis=-2) for M in (A, B, C)]
     scale = norms[0] * norms[1] * norms[2]
     live = scale > 0.0
     target = scale ** (1.0 / 3.0)
     for M, n in zip((A, B, C), norms):
-        M *= np.divide(target, n, out=np.ones_like(n), where=live)
+        M *= np.divide(target, n, out=np.ones_like(n), where=live)[..., None, :]
     return A, B, C
 
 
@@ -173,60 +170,57 @@ def _gram_solve(M, P, Q):
     return M @ (Linv.mT @ Linv), ridged
 
 
-class _Start:
-    """One start of a fit: its iterate, its record, and the solver's state."""
+class _Starts:
+    """Every start of a fit as arrays over the start axis: the (k, d, r)
+    iterates ``X`` with the MTTKRPs and Gramians that scored them, and each
+    start's error, fit, updates, verdict and flags.  Gauss-Newton adds the
+    damping, the best trial rejected since the last step, and the gradients
+    with a flag for the stale ones.  ``log`` keeps one (indices, errors)
+    pair per ``record``, so it grows with the updates taken."""
 
-    def __init__(self, opts: CpdOptions, X, MB, MC, scored):
+    def __init__(self, opts: CpdOptions, X, MB, MC, err, Z):
+        k = len(err)
         self.opts = opts
-        self.X = X
-        self.MB, self.MC = MB, MC
-        self.err, self.Z = scored
-        self.fit = 1.0 - self.err * self.err
-        self.trace = [self.err]
-        self.converged = self.err < _EXACT_ERROR
-        self.running = not self.converged
-        self.regularized = False
-        # Gauss-Newton: damping, gradient at X (None until computed), and the
-        # smallest error of the trials rejected since the last step
-        self.mu = _MU_INIT
-        self.g = None
-        self.best_trial = np.inf
+        self.X, self.MB, self.MC, self.Z = X, MB, MC, Z
+        self.err, self.fit = err, 1.0 - err * err
+        self.log = [(np.arange(k), err.copy())]
+        self.iterations = np.zeros(k, dtype=np.int64)
+        self.converged = err < _EXACT_ERROR
+        self.running = ~self.converged
+        self.ridged = np.zeros(k, dtype=bool)
+        self.mu = np.full(k, _MU_INIT)
+        self.best_trial = np.full(k, np.inf)
+        self.stale = np.ones(k, dtype=bool)
+        self.g = tuple(np.empty_like(M) for M in X)
 
-    def record(self, err: float):
-        """Take the error of an accepted update and apply the stopping rule:
-        relative fit change below ``tol``, or ``max_iters`` updates."""
+    def record(self, idx, err):
+        """Take the errors of the accepted updates of starts ``idx`` and
+        apply the stopping rule: relative fit change below ``tol``, or
+        ``max_iters`` updates."""
         fit = 1.0 - err * err
-        self.trace.append(err)
-        self.converged = abs(fit - self.fit) < self.opts.tol * max(fit, 1e-12)
-        self.err, self.fit = err, fit
-        self.running = not self.converged and len(self.trace) <= self.opts.max_iters
-
-    def stop(self, converged: bool):
-        """End the start without a new iterate: True when the solver stalled
-        at the accuracy limit, False when it could not descend."""
-        self.converged, self.running = converged, False
-
-
-def _stack(factor_sets):
-    """The (k, d, r) stacks of the A, B and C of k factor triples."""
-    return tuple(np.stack(Ms) for Ms in zip(*factor_sets))
+        self.log.append((idx, err))
+        self.iterations[idx] += 1
+        self.converged[idx] = np.abs(fit - self.fit[idx]) < self.opts.tol * np.maximum(fit, 1e-12)
+        self.err[idx], self.fit[idx] = err, fit
+        self.running[idx] = ~self.converged[idx] & (self.iterations[idx] < self.opts.max_iters)
 
 
 def _score(t: Tensor3, normX: float, A, B, C):
     """Mode-1 and mode-2 MTTKRPs of the (k, d, r) stacks from one partial
-    product, and each start's Gram-identity error and Gramians."""
+    product, and the stack's Gram-identity errors and Gramians."""
     T = partial_product(t, A)
     MB = mttkrp(t, (A, B, C), 1, T)
     MC = mttkrp(t, (A, B, C), 2, T)
-    return MB, MC, [_gram_error(t, normX, *X, mc) for *X, mc in zip(A, B, C, MC)]
+    return (MB, MC, *_gram_error(t, normX, A, B, C, MC))
 
 
 def _best_of_starts(t: Tensor3, opts: CpdOptions, init, advance) -> CpdResult:
     """Fit every start with one solver's rounds and keep the best.
 
-    ``advance(t, normX, live)`` gives every live start one update: a start
-    that reaches a new iterate passes its error to ``record``, one that
-    cannot go on calls ``stop``, and one whose trial failed just stays live.
+    ``advance(t, normX, st, live)`` gives the starts ``live``, an index
+    array into the ``_Starts`` st, one update each: the starts that reach a
+    new iterate pass their errors to ``st.record``, one that cannot go on
+    clears its ``running`` flag, and one whose trial failed just stays live.
     The best start is the first one with the highest fit.
     """
     _validate_problem(t, opts.rank)
@@ -239,47 +233,44 @@ def _best_of_starts(t: Tensor3, opts: CpdOptions, init, advance) -> CpdResult:
         if shapes != tuple((d, rank) for d in t.dims):
             raise ArgumentError(f"start factor shapes {shapes} do not match dims {t.dims} "
                                 f"at rank {rank}")
-    A, B, C = _stack(inits)
-    MB, MC, scored = _score(t, normX, A, B, C)
-    starts = [_Start(opts, *s) for s in zip(zip(A, B, C), MB, MC, scored)]
-    live = [s for s in starts if s.running]
-    while live:
-        advance(t, normX, live)
-        live = [s for s in live if s.running]
-    best = max(starts, key=lambda s: s.fit)
-    fs = FactorSet(rank, *best.X, np.ones(rank)).normalized()
+    X = tuple(np.stack(Ms) for Ms in zip(*inits))
+    st = _Starts(opts, X, *_score(t, normX, *X))
+    while (live := np.flatnonzero(st.running)).size:
+        advance(t, normX, st, live)
+    fits = st.fit.tolist()
+    best = fits.index(max(fits))
+    fs = FactorSet(rank, *(M[best] for M in st.X), np.ones(rank)).normalized()
     rel = relative_error(t, fs)
     return CpdResult(
         factors=fs,
         rel_error=rel,
         fit=1.0 - rel * rel,
-        trace=tuple(best.trace),
-        start_index=starts.index(best),
-        starts=tuple(StartRecord(len(s.trace) - 1, s.converged, s.fit, s.regularized)
-                     for s in starts),
+        trace=tuple(np.concatenate([err[idx == best] for idx, err in st.log]).tolist()),
+        start_index=best,
+        starts=tuple(map(StartRecord, st.iterations.tolist(), st.converged.tolist(), fits,
+                         st.ridged.tolist())),
     )
 
 
 # ---------------------------------------------------------------------------
 # ALS
 
-def _als_round(t: Tensor3, normX: float, live):
-    """One ALS sweep for every live start, over the stacks of their factors.
+def _als_round(t: Tensor3, normX: float, st: _Starts, live):
+    """One ALS sweep for the live starts, over the stacks of their factors.
 
-    The partial product T of the updated A serves the B and the C update.
-    """
-    A, B, C = _stack([s.X for s in live])
+    The partial product T of the updated A serves the B and the C update,
+    and the MTTKRP of the C update scores the sweep before rebalancing."""
+    A, B, C = (M[live] for M in st.X)
     A, ridged_a = _gram_solve(mttkrp(t, (A, B, C), 0), B, C)
     T = partial_product(t, A)
     B, ridged_b = _gram_solve(mttkrp(t, (A, B, C), 1, T), A, C)
     MC = mttkrp(t, (A, B, C), 2, T)
     C, ridged_c = _gram_solve(MC, A, B)
-    for s, *X, mc, ridged in zip(live, A, B, C, MC, ridged_a | ridged_b | ridged_c):
-        # mc is the mode-2 MTTKRP at (A, B); rebalancing leaves the identity unchanged
-        err, _ = _gram_error(t, normX, *X, mc)
-        s.X = _rebalance(*X)
-        s.regularized = s.regularized or bool(ridged)
-        s.record(err)
+    err, _ = _gram_error(t, normX, A, B, C, MC)
+    for M, new in zip(st.X, _rebalance(A, B, C)):
+        M[live] = new
+    st.ridged[live] |= ridged_a | ridged_b | ridged_c
+    st.record(live, err)
 
 
 def cpd_als(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -350,54 +341,58 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
     return tuple(dn + en for dn, en in zip(d, solve(res)))
 
 
-def _gn_round(t: Tensor3, normX: float, live):
+def _gn_round(t: Tensor3, normX: float, st: _Starts, live):
     """One damped Gauss-Newton trial for every live start.
 
-    A start that has just stepped first gets its gradient: its mode-0 term
-    comes from one MTTKRP over all such starts, and its mode-1 and mode-2
-    terms are the MTTKRPs that scored the iterate.  The trials are scored
+    The starts that have just stepped first get their gradients: the mode-0
+    term comes from one MTTKRP over all of them, and the mode-1 and mode-2
+    terms are the MTTKRPs that scored their iterates.  The trials are scored
     together; an accepted trial lowers the damping tenfold, and a rejected
     or singular one raises it (``_raise_damping``).
     """
-    fresh = [s for s in live if s.g is None]
-    if fresh:
-        for s, ma in zip(fresh, mttkrp(t, _stack([s.X for s in fresh]), 0)):
-            (A, B, C), (ZA, ZB, ZC) = s.X, s.Z
-            s.g = (A @ (ZB * ZC) - ma, B @ (ZA * ZC) - s.MB, C @ (ZA * ZB) - s.MC)
-    tried, trials = [], []
-    for s in live:
-        while s.running:
+    fresh = live[st.stale[live]]
+    if fresh.size:
+        A, B, C = (M[fresh] for M in st.X)
+        ZA, ZB, ZC = (Z[fresh] for Z in st.Z)
+        st.g[0][fresh] = A @ (ZB * ZC) - mttkrp(t, (A, B, C), 0)
+        st.g[1][fresh] = B @ (ZA * ZC) - st.MB[fresh]
+        st.g[2][fresh] = C @ (ZA * ZB) - st.MC[fresh]
+        st.stale[fresh] = False
+    steps = {}
+    for i in live:  # each start solves its own step system
+        while st.running[i]:
             try:
-                step = _gn_step(*s.X, *s.Z, *s.g, s.mu)
+                steps[i] = _gn_step(*(M[i] for M in st.X + st.Z + st.g), st.mu[i])
+                break
             except np.linalg.LinAlgError:
-                _raise_damping(s)
-                continue
-            tried.append(s)
-            trials.append(tuple(M + d for M, d in zip(s.X, step)))
-            break
-    if not tried:
+                _raise_damping(st, np.array([i]))
+    if not steps:
         return
-    A, B, C = _stack(trials)
-    MB, MC, scored = _score(t, normX, A, B, C)
-    for s, *X, mb, mc, (err, Z) in zip(tried, A, B, C, MB, MC, scored):
-        if err <= s.err:
-            s.X, s.MB, s.MC, s.Z, s.g = tuple(X), mb, mc, Z, None
-            s.mu = max(s.mu / 10.0, _MU_MIN)
-            s.best_trial = np.inf
-            s.record(err)
-        else:
-            s.best_trial = min(s.best_trial, err)
-            _raise_damping(s)
+    tried = np.array(list(steps))
+    X = tuple(M[tried] + np.stack(d) for M, d in zip(st.X, zip(*steps.values())))
+    MB, MC, err, Z = _score(t, normX, *X)
+    ok = err <= st.err[tried]
+    up, down = tried[ok], tried[~ok]
+    for M, new in zip(st.X + st.Z + (st.MB, st.MC), X + Z + (MB, MC)):
+        M[up] = new[ok]
+    st.stale[up] = True
+    st.mu[up] = np.maximum(st.mu[up] / 10.0, _MU_MIN)
+    st.best_trial[up] = np.inf
+    st.record(up, err[ok])
+    # fmin keeps the best trial when a trial's error is NaN
+    st.best_trial[down] = np.fmin(st.best_trial[down], err[~ok])
+    _raise_damping(st, down)
 
 
-def _raise_damping(s: _Start):
-    """Raise a start's damping tenfold.  Past ``_MU_MAX`` the start ends:
-    converged when it stalled at the numerical accuracy limit, no trial
-    having done worse than the iterate beyond roundoff, and not converged
-    when it genuinely could not descend."""
-    s.mu *= 10.0
-    if s.mu > _MU_MAX:
-        s.stop(s.best_trial <= s.err * (1.0 + 1e-12))
+def _raise_damping(st: _Starts, idx):
+    """Raise the damping of the starts ``idx`` tenfold.  Past ``_MU_MAX`` a
+    start ends: converged when it stalled at the numerical accuracy limit,
+    no trial having done worse than the iterate beyond roundoff, and not
+    converged when it genuinely could not descend."""
+    st.mu[idx] *= 10.0
+    idx = idx[st.mu[idx] > _MU_MAX]
+    st.converged[idx] = st.best_trial[idx] <= st.err[idx] * (1.0 + 1e-12)
+    st.running[idx] = False
 
 
 def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
@@ -409,37 +404,3 @@ def cpd_gn(t: Tensor3, opts: CpdOptions, init=None) -> CpdResult:
     so both solvers explore identical starts for a given seed; ``init``
     (A, B, C) forces a single run."""
     return _best_of_starts(t, opts, init, _gn_round)
-
-
-# ---------------------------------------------------------------------------
-# stability diagnostics
-
-def _abs_cosines(Ma: np.ndarray, Mb: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(Ma, axis=0)
-    nb = np.linalg.norm(Mb, axis=0)
-    dots = np.abs(Ma.T @ Mb)
-    denom = np.outer(na, nb)
-    out = np.zeros_like(dots)
-    nz = denom > 0
-    out[nz] = dots[nz] / denom[nz]
-    return out
-
-
-def factor_match_score(a: FactorSet, b: FactorSet) -> float:
-    """Permutation-optimal mean over components of |cosA|*|cosB|*|cosC|.
-
-    The best matching is the optimal assignment on the component-pair scores.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    if a.rank != b.rank:
-        raise ArgumentError(f"rank mismatch: {a.rank} vs {b.rank}")
-    if a.dims != b.dims:
-        raise ArgumentError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    P = (
-        _abs_cosines(a.A, b.A)
-        * _abs_cosines(a.B, b.B)
-        * _abs_cosines(a.C, b.C)
-    )
-    rows, cols = linear_sum_assignment(-P)
-    return float(P[rows, cols].sum() / a.rank)

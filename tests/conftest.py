@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from eegfactor import CpdOptions, SynthSpec, make_tensor
+from eegfactor import ArgumentError, CpdOptions, FactorSet, SynthSpec, make_tensor
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,35 @@ def random_tensor3(rng, dims):
     from eegfactor import Tensor3
 
     return Tensor3(rng.standard_normal(dims))
+
+
+def _abs_cosines(Ma: np.ndarray, Mb: np.ndarray) -> np.ndarray:
+    na = np.linalg.norm(Ma, axis=0)
+    nb = np.linalg.norm(Mb, axis=0)
+    dots = np.abs(Ma.T @ Mb)
+    denom = np.outer(na, nb)
+    out = np.zeros_like(dots)
+    nz = denom > 0
+    out[nz] = dots[nz] / denom[nz]
+    return out
+
+
+def factor_match_score(a: FactorSet, b: FactorSet) -> float:
+    """Permutation-optimal mean over components of |cosA|*|cosB|*|cosC|.
+
+    The best matching is the optimal assignment on the component-pair
+    scores.  An oracle for factor recovery, so only the tests load scipy.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    if a.rank != b.rank:
+        raise ArgumentError(f"rank mismatch: {a.rank} vs {b.rank}")
+    if a.dims != b.dims:
+        raise ArgumentError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    P = (
+        _abs_cosines(a.A, b.A)
+        * _abs_cosines(a.B, b.B)
+        * _abs_cosines(a.C, b.C)
+    )
+    rows, cols = linear_sum_assignment(-P)
+    return float(P[rows, cols].sum() / a.rank)

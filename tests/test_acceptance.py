@@ -22,7 +22,6 @@ from eegfactor import (
     cpd_gn,
     cross_validate,
     diffit,
-    factor_match_score,
     make_cohort,
     make_recording,
     make_tensor,
@@ -34,6 +33,7 @@ from eegfactor import (
 )
 from eegfactor.cli import main as cli_main
 from eegfactor.preprocess import FREQ_GRID
+from conftest import factor_match_score
 
 
 def report(criterion: int, passed: bool, detail: str):

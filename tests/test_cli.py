@@ -795,6 +795,32 @@ class TestImportCost:
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == []
 
+    def test_flow_runs_with_scipy_unimportable(self, workdir):
+        # scipy is a test dependency only: a fresh interpreter that cannot
+        # import it still runs every stage of the synthetic flow
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        stages = [
+            ["synth", "--mode", "cohort", "--dims", "20", "19", "89", "--snr-db", "25",
+             "--subjects-per-class", "CN=6,MCI=5,AD=6", "--epochs-per-subject", "2"],
+            ["diffit"],
+            ["decompose"],
+            ["project", "--tensor", str(wd / "cohort_tensor.bin"),
+             "--provenance", str(wd / "cohort_provenance.csv")],
+            ["classify"],
+            ["report"],
+        ]
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from eegfactor.cli import main\n"
+            f"print([main({base!r} + stage) for stage in {stages!r}])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == str([0] * len(stages))
+
     def test_gn_fit_loads_no_scipy(self):
         # the GN decompose stage solves its steps with numpy alone, so it
         # pays no scipy start-up at all

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from eegfactor import (
     Tensor3,
     cpd_als,
     cpd_gn,
-    factor_match_score,
     make_tensor,
     relative_error,
 )
+from conftest import _abs_cosines, factor_match_score
 
 
 def truth_init(truth):
@@ -166,6 +167,20 @@ class TestStarts:
             if s == res.start_index:
                 assert alone.fit == pytest.approx(res.fit, rel=1e-10)
 
+    @pytest.mark.parametrize("solver", [cpd_als, cpd_gn], ids=["als", "gn"])
+    def test_trace_memory_grows_with_the_updates_not_the_cap(self, planted_small, solver):
+        # the trace is a log of the updates taken: arrays sized by max_iters
+        # would take 40 MB here
+        t, _ = planted_small
+        tracemalloc.start()
+        try:
+            res = solver(t, CpdOptions(rank=3, n_starts=5, max_iters=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(s.converged for s in res.starts)
+        assert peak < 4 * 2**20
+
     def test_gn_reads_the_tensor_once_per_round(self, planted_noisy, monkeypatch):
         # every live start takes one trial per round, and the round's partial
         # product covers all their trials; a stopped start leaves the stack
@@ -230,6 +245,55 @@ class TestGaussNewton:
         r1, r2 = cpd_gn(t, opts), cpd_gn(t, opts)
         assert r1.trace == r2.trace
         np.testing.assert_array_equal(r1.factors.A, r2.factors.A)
+
+    @pytest.mark.parametrize("delta,converged", [(1e-6, False), (3e-8, True)])
+    def test_damping_past_the_cap_ends_the_start(self, planted_noisy, monkeypatch,
+                                                  delta, converged):
+        # from an ALS-converged iterate the step delta*(A, B, C) only rescales
+        # the model, so every trial is worse and the damping climbs from 1e-2
+        # past 1e12 in 15 trials.  At delta = 3e-8 the trials are worse by
+        # less than 1e-12 relative: the start stalled at the accuracy limit
+        t, _ = planted_noisy
+        als = cpd_als(t, CpdOptions(rank=3, n_starts=1, tol=1e-14, max_iters=2000, seed=0))
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        trials = []
+        monkeypatch.setattr(cpd_module, "_gn_step", lambda A, B, C, *rest: trials.append(A)
+                            or (delta * A, delta * B, delta * C))
+        res = cpd_gn(t, CpdOptions(rank=3), init=truth_init(als.factors))
+        assert len(trials) == 15
+        assert res.iterations == 0
+        assert res.converged is converged
+
+    def test_singular_start_ends_alone(self, planted_noisy, monkeypatch):
+        # a start whose step system is always singular raises its damping
+        # past the cap within one round and ends unconverged; the other
+        # starts of the stack go on as they do alone
+        from eegfactor.cpd import _uniform_init
+
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        t, _ = planted_noisy
+        opts = CpdOptions(rank=3, n_starts=3, max_iters=20, seed=4)
+        A1 = _uniform_init(t.dims, opts.rank, opts.seed, 1)[0]
+        real_step, singular = cpd_module._gn_step, []
+
+        def step(A, *rest):
+            if np.array_equal(A, A1):
+                singular.append(A)
+                raise np.linalg.LinAlgError("singular")
+            return real_step(A, *rest)
+
+        monkeypatch.setattr(cpd_module, "_gn_step", step)
+        res = cpd_gn(t, opts)
+        assert len(singular) == 15
+        assert (res.starts[1].iterations, res.starts[1].converged) == (0, False)
+        for s in (0, 2):
+            (alone,) = cpd_gn(t, opts, init=_uniform_init(t.dims, opts.rank, opts.seed, s)).starts
+            rec = res.starts[s]
+            assert rec.iterations > 0
+            assert ((alone.iterations, alone.converged, alone.gram_regularized)
+                    == (rec.iterations, rec.converged, rec.gram_regularized))
+            # the stacked GEMMs round differently from the solo ones
+            assert alone.fit == pytest.approx(rec.fit, rel=1e-10)
 
     def test_large_problem_recovery(self):
         # r(E+S+F) = 2424: a size the exact step takes like any other
@@ -349,7 +413,7 @@ class TestGramError:
 
         A = fs.A * fs.weights
         MC = mttkrp(t, (A, fs.B, fs.C), 2)
-        return _gram_error(t, t.norm(), A, fs.B, fs.C, MC)[0]
+        return _gram_error(t, t.norm(), A[None], fs.B[None], fs.C[None], MC[None])[0][0]
 
     def test_gram_error_matches_relative_error(self, planted_noisy):
         t, truth = planted_noisy
@@ -378,6 +442,36 @@ class TestGramError:
         assert len(calls) == 1
         assert err < 1e-8
         assert err == pytest.approx(relative_error(t, near), rel=1e-6)
+
+
+    def test_stack_matches_each_start_alone(self, planted_small, monkeypatch):
+        # one start of the stack is inside the exact-norm branch and two are
+        # not: only that one pays for a residual, and every start's error and
+        # Gramians equal those of its own k = 1 call bit for bit
+        from eegfactor.cpd import _gram_error, _uniform_init
+        from eegfactor.tensor import mttkrp
+
+        cpd_module = importlib.import_module("eegfactor.cpd")
+        t, truth = planted_small
+        rng = np.random.default_rng(3)
+        A0, B0, C0 = truth_init(truth)
+        near = (A0 + 1e-11 * rng.standard_normal(A0.shape), B0, C0)
+        starts = (_uniform_init(t.dims, 3, 0, 0), near, _uniform_init(t.dims, 3, 0, 1))
+        A, B, C = (np.stack(Ms) for Ms in zip(*starts))
+        MC = mttkrp(t, (A, B, C), 2)
+        calls = []
+        exact_norm = cpd_module.relative_error
+        monkeypatch.setattr(cpd_module, "relative_error",
+                            lambda *a: calls.append(a) or exact_norm(*a))
+        err, Z = _gram_error(t, t.norm(), A, B, C, MC)
+        assert len(calls) == 1
+        assert err[1] < 1e-8 < min(err[0], err[2])
+        for i in range(3):
+            one = slice(i, i + 1)
+            err_i, Z_i = _gram_error(t, t.norm(), A[one], B[one], C[one], MC[one])
+            assert err[i] == err_i[0]
+            for Zn, Zn_i in zip(Z, Z_i):
+                np.testing.assert_array_equal(Zn[i], Zn_i[0])
 
 
 class TestFactorMatchScore:
@@ -419,8 +513,6 @@ class TestFactorMatchScore:
         dims, r = (5, 6, 7), 4
         a = FactorSet(r, *(rng.standard_normal((d, r)) for d in dims), np.ones(r))
         b = FactorSet(r, *(rng.standard_normal((d, r)) for d in dims), np.ones(r))
-        from eegfactor.cpd import _abs_cosines
-
         P = _abs_cosines(a.A, b.A) * _abs_cosines(a.B, b.B) * _abs_cosines(a.C, b.C)
         brute = max(
             sum(P[i, p[i]] for i in range(r)) / r for p in itertools.permutations(range(r))
