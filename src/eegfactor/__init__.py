@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ArgumentError,
-    ConfigError,
-    EegFactorError,
-    IngestError,
-    NumericalError,
-    ParseError,
-)
+from .errors import ArgumentError, IngestError, ParseError
 from .tensor import (
     FactorSet,
     Tensor3,
@@ -30,12 +23,11 @@ from .preprocess import (
     select_awake_epochs,
     welch,
 )
-from .cpd import CpdOptions, CpdResult, cpd_als, cpd_gn
-from .rank import RankReport, diffit
-from .projection import ProjectionBasis, build_basis, project
+from .cpd import CpdOptions, cpd_als, cpd_gn
+from .rank import diffit
+from .projection import build_basis, project
 from .classify import (
     CohortDataset,
-    CVReport,
     assign_folds,
     auc,
     cross_validate,

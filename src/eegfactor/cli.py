@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import copy
+import fcntl
 import hashlib
 import io
 import json
@@ -34,6 +35,7 @@ from .edf import VALID_LABELS, read_edf_file, read_manifest, select_channels, wr
 from .errors import (
     ArgumentError,
     ConfigError,
+    EegFactorError,
     IngestError,
     NumericalError,
     ParseError,
@@ -62,6 +64,7 @@ from .tensor import (
     read_text,
     save_factors,
     save_tensor,
+    write_json,
 )
 
 DEFAULT_CONFIG = {
@@ -214,12 +217,6 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # deterministic artifact writers
 
-def _write_json(path: Path, doc: dict):
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _read_json(path: Path, keys) -> dict:
     """Parse a JSON artifact that must hold an object with ``keys``.
 
@@ -268,55 +265,39 @@ def _write_stage_config(workdir: Path, stage: str, cfg: dict, seed: int):
     doc = dict(_stamp(cfg, seed))
     doc["stage"] = stage
     doc["config"] = cfg
-    _write_json(workdir / f"{stage}.config.json", doc)
-
-
-def _holder_is_dead(lock_path: Path) -> bool:
-    """True only when the lock holds a positive PID that no process has."""
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-        if pid <= 0:
-            return False
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        # unreadable, not a PID, or a live process of another user
-        return False
-    return False
+    write_json(workdir / f"{stage}.config.json", doc)
 
 
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
-    """Single-writer guard; concurrent invocations on one work dir refuse.
+    """Single-writer guard: an exclusive flock on ``workdir/.lock``.
 
-    A lock whose PID names no running process was left by a killed stage; it
-    is removed and the lock taken once more.
+    The kernel drops the lock when its holder exits or is killed, so a
+    leftover ``.lock`` never blocks. The holder unlinks the path before it
+    lets go; an invocation that opened the old file meanwhile then locks an
+    inode the path no longer names, and refuses as well.
     """
-    workdir.mkdir(parents=True, exist_ok=True)
     lock_path = workdir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    locked = ConfigError(
-        f"work dir {workdir} is locked by another invocation (remove {lock_path} if stale)"
-    )
     try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        if not _holder_is_dead(lock_path):
-            raise locked from None
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock_path)
+        workdir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+    except OSError as exc:
+        raise ConfigError(f"cannot open {lock_path}: {exc}") from None
+    try:
         try:
-            fd = os.open(lock_path, flags)
-        except FileExistsError:
-            raise locked from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        yield
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = os.fstat(fd).st_ino == os.stat(lock_path).st_ino
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise ConfigError(f"work dir {workdir} is locked by another invocation")
+        try:
+            yield
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock_path)
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock_path)
+        os.close(fd)
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -490,7 +471,7 @@ def run_diffit(cfg: dict, workdir: Path) -> int:
             "tensor_sha256": _sha256(tensor_path),
         }
     )
-    _write_json(workdir / "rank_report.json", doc)
+    write_json(workdir / "rank_report.json", doc)
     _write_csv(
         workdir / "rank_histogram.csv",
         ["rank", "count"],
@@ -543,7 +524,7 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
             "trace": list(result.trace),
         }
     )
-    _write_json(workdir / "decompose_meta.json", meta)
+    write_json(workdir / "decompose_meta.json", meta)
     fs = result.factors
     for i in range(rank):
         _write_csv(
@@ -659,7 +640,7 @@ def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
         raise IngestError("no task had two classes with >= 2 subjects each")
     doc = dict(_stamp(cfg, cfg["classify"]["seed"]))
     doc["reports"] = [dict(feature=f, **r.to_dict()) for f, r in reports]
-    _write_json(workdir / "cv_report.json", doc)
+    write_json(workdir / "cv_report.json", doc)
     _write_csv(
         workdir / "summary.csv",
         ["feature", "classifier", "task", "mean_auc", "std_auc"],
@@ -780,7 +761,7 @@ def run_report(cfg: dict, workdir: Path) -> int:
         except (KeyError, TypeError):
             raise ParseError(f"{cv_path.name}: each report needs {list(keys)}",
                              field="reports") from None
-    _write_json(workdir / "report.json", summary)
+    write_json(workdir / "report.json", summary)
     print(f"report: {len(artifacts)} artifacts summarized")
     return 0
 
@@ -860,15 +841,9 @@ def main(argv=None) -> int:
             if args.command == "report":
                 return run_report(cfg, workdir)
             raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ArgumentError) as exc:
+    except EegFactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,9 +83,12 @@ def _int_field(data: bytes, offset: int, size: int, field: str) -> int:
 def _float_field(data: bytes, offset: int, size: int, field: str) -> float:
     text = _ascii(data, offset, size, field)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric value {text!r}", field=field, offset=offset) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {text!r}", field=field, offset=offset)
+    return value
 
 
 def read_edf(data: bytes) -> Recording:
@@ -121,6 +125,7 @@ def read_edf(data: bytes) -> Recording:
     pos += ns * 8  # physical dimension
     phys_min = [_float_field(data, pos + 8 * i, 8, f"physical_min[{i}]") for i in range(ns)]
     pos += ns * 8
+    phys_max_off = pos
     phys_max = [_float_field(data, pos + 8 * i, 8, f"physical_max[{i}]") for i in range(ns)]
     pos += ns * 8
     dig_min_off = pos
@@ -131,6 +136,7 @@ def read_edf(data: bytes) -> Recording:
     pos += ns * 80  # prefiltering
     n_samples = [_int_field(data, pos + 8 * i, 8, f"samples_per_record[{i}]") for i in range(ns)]
 
+    scales = []
     for i in range(ns):
         if dig_max[i] == dig_min[i]:
             raise ParseError(
@@ -138,15 +144,26 @@ def read_edf(data: bytes) -> Recording:
                 field=f"digital_min[{i}]",
                 offset=dig_min_off + 8 * i,
             )
+        scales.append((phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i]))
+        # the map is monotone, so every 16-bit sample maps to a finite value
+        # exactly when both ends of the 16-bit range do
+        ends = [(d - dig_min[i]) * scales[i] + phys_min[i] for d in (DIGITAL_MIN, DIGITAL_MAX)]
+        if not all(map(math.isfinite, ends)):
+            raise ParseError(
+                f"physical range of signal {i} is not finite",
+                field=f"physical_max[{i}]",
+                offset=phys_max_off + 8 * i,
+            )
         if n_samples[i] <= 0:
             raise ParseError(
                 f"samples_per_record must be positive, got {n_samples[i]}",
                 field=f"samples_per_record[{i}]",
                 offset=pos + 8 * i,
             )
-    if record_duration <= 0:
+    if record_duration <= 0 or not math.isfinite(max(n_samples) / record_duration):
         raise ParseError(
-            f"record duration must be positive, got {record_duration}",
+            f"record duration must be positive and give a finite sample rate, "
+            f"got {record_duration}",
             field="record_duration",
             offset=244,
         )
@@ -184,8 +201,7 @@ def read_edf(data: bytes) -> Recording:
     resampled = False
     for row, i in enumerate(keep):
         dig = raw[:, offsets[i] : offsets[i + 1]].reshape(-1).astype(np.float64)
-        scale = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-        phys = (dig - dig_min[i]) * scale + phys_min[i]
+        phys = (dig - dig_min[i]) * scales[i] + phys_min[i]
         if len(phys) == target_len:
             signals[row] = phys
         else:

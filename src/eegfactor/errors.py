@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto exit codes: argument/config problems -> 1,
-data problems (parse/ingest) -> 2, numerical failures -> 3.
+Each class carries the CLI's exit code for it as ``exit_code``: argument
+and config problems keep the base's 1, data problems (parse/ingest) 2,
+numerical failures 3.
 """
 
 
 class EegFactorError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ArgumentError(EegFactorError, ValueError):
@@ -19,6 +22,8 @@ class ConfigError(EegFactorError):
 
 class ParseError(EegFactorError):
     """A byte stream could not be decoded as the expected file format."""
+
+    exit_code = 2
 
     def __init__(self, message, field=None, offset=None):
         detail = message
@@ -37,6 +42,10 @@ class ParseError(EegFactorError):
 class IngestError(EegFactorError):
     """A recording was well-formed but unusable for the pipeline."""
 
+    exit_code = 2
+
 
 class NumericalError(EegFactorError):
     """An optimizer failed without producing a usable iterate."""
+
+    exit_code = 3

@@ -285,6 +285,13 @@ def load_tensor(path) -> Tensor3:
         raise ParseError(f"tensor file contains invalid values: {exc}", field="data") from exc
 
 
+def write_json(path, doc: dict):
+    """A JSON artifact: sorted keys, compact separators, one trailing newline."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+
 def save_factors(fs: FactorSet, path):
     """FactorSet as JSON: rank, lambda, and row-major nested factor matrices."""
     doc = {
@@ -294,9 +301,7 @@ def save_factors(fs: FactorSet, path):
         "B": fs.B.tolist(),
         "C": fs.C.tolist(),
     }
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_factors(path) -> FactorSet:

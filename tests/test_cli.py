@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import hashlib
 import json
 import os
@@ -249,6 +250,26 @@ class TestEdfRoute:
                 "(0.2 s)") in capsys.readouterr().err
         assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
 
+    @pytest.mark.parametrize("field, offset", [("record_duration", 244),
+                                               ("physical_min[0]", 256 + 19 * 104)])
+    def test_non_finite_header_number_skips_the_recording(self, workdir, capsys, field,
+                                                          offset):
+        # a nan in the header is a parse error of that one file: preprocess
+        # skips it with a warning naming the field and goes on with the other
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        bad = bytearray((wd / "rec_001.edf").read_bytes())
+        bad[offset : offset + 8] = b"nan     "
+        (wd / "rec_001.edf").write_bytes(bytes(bad))
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        err = capsys.readouterr().err
+        assert "warning: skipping rec_001.edf: non-finite value 'nan'" in err
+        assert f"field: {field}" in err
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+
     @pytest.mark.parametrize("stage", ["preprocess", "project"])
     def test_recording_within_the_odd_extension_skips_the_recording(self, workdir, capsys,
                                                                     stage):
@@ -464,11 +485,21 @@ class TestErrors:
         cfg.write_text("mystery:\n  a: 1\n")
         assert run("--config", str(cfg), "--workdir", str(tmp_path / "w"), "report") == 1
 
+    @staticmethod
+    def hold_lock(wd, text=""):
+        """An open of ``wd/.lock`` holding the exclusive flock, as a running
+        invocation would."""
+        wd.mkdir(parents=True, exist_ok=True)
+        fh = open(wd / ".lock", "w")
+        fh.write(text)
+        fh.flush()
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fh
+
     def test_locked_workdir(self, workdir, capsys):
         wd, cfg = workdir
-        wd.mkdir(parents=True)
-        (wd / ".lock").write_text("held")
-        code = run("--config", str(cfg), "--workdir", str(wd), "report")
+        with self.hold_lock(wd, "held"):
+            code = run("--config", str(cfg), "--workdir", str(wd), "report")
         assert code == 1
         assert "lock" in capsys.readouterr().err.lower()
 
@@ -483,12 +514,87 @@ class TestErrors:
 
     def test_lock_of_live_process_refused(self, workdir, capsys):
         wd, cfg = workdir
-        wd.mkdir(parents=True)
-        (wd / ".lock").write_text(str(os.getpid()))
-        code = run("--config", str(cfg), "--workdir", str(wd), "report")
+        with self.hold_lock(wd, str(os.getpid())):
+            code = run("--config", str(cfg), "--workdir", str(wd), "report")
+            assert (wd / ".lock").read_text() == str(os.getpid())
         assert code == 1
         assert "lock" in capsys.readouterr().err.lower()
-        assert (wd / ".lock").read_text() == str(os.getpid())
+
+    def test_empty_leftover_lock_does_not_block(self, workdir):
+        # a run killed between creating .lock and writing to it left it empty
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / ".lock").write_text("")
+        assert run("--config", str(cfg), "--workdir", str(wd), "report") == 0
+        assert not (wd / ".lock").exists()
+
+    def test_leftover_lock_of_live_unlocked_process_does_not_block(self, workdir):
+        # a live process that holds no lock, as when a PID has been reused
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            (wd / ".lock").write_text(str(child.pid))
+            assert run("--config", str(cfg), "--workdir", str(wd), "report") == 0
+        finally:
+            child.kill()
+            child.wait()
+        assert not (wd / ".lock").exists()
+
+    def test_killed_holder_does_not_block(self, workdir):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        holder = (
+            "import fcntl, os, sys, time\n"
+            f"fd = os.open({str(wd / '.lock')!r}, os.O_CREAT | os.O_RDWR)\n"
+            "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+            "print('held', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        child = subprocess.Popen([sys.executable, "-c", holder], stdout=subprocess.PIPE,
+                                 text=True)
+        try:
+            assert child.stdout.readline() == "held\n"
+            assert run("--config", str(cfg), "--workdir", str(wd), "report") == 1
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert (wd / ".lock").exists()
+        assert run("--config", str(cfg), "--workdir", str(wd), "report") == 0
+        assert not (wd / ".lock").exists()
+
+    def test_lock_path_swapped_before_locking_refused(self, workdir, capsys, monkeypatch):
+        # another invocation released and unlinked the file this one opened,
+        # and a third made a new .lock: the flock taken on the old file
+        # guards nothing, so the invocation refuses and leaves the new file
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        flock = fcntl.flock
+
+        def swap_then_flock(fd, op):
+            (wd / ".lock").unlink()
+            (wd / ".lock").write_text("new")
+            return flock(fd, op)
+
+        monkeypatch.setattr(cli.fcntl, "flock", swap_then_flock)
+        assert run("--config", str(cfg), "--workdir", str(wd), "report") == 1
+        assert "lock" in capsys.readouterr().err.lower()
+        assert (wd / ".lock").read_text() == "new"
+
+    @pytest.mark.parametrize("blocker", ["work", "work/.lock"])
+    def test_unopenable_lock_path_is_config_error(self, workdir, capsys, blocker):
+        # a file where the work dir should be, or a directory where .lock
+        # should be, exits 1 naming the path rather than with a traceback
+        wd, cfg = workdir
+        wd.mkdir()
+        if blocker == "work":
+            wd.rmdir()
+            wd.write_text("")
+        else:
+            (wd / ".lock").mkdir()
+        assert run("--config", str(cfg), "--workdir", str(wd), "report") == 1
+        assert f"cannot open {wd / '.lock'}" in capsys.readouterr().err
 
     def test_lock_released_after_run(self, workdir):
         wd, cfg = workdir
@@ -733,73 +839,13 @@ class TestImportCost:
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == []
 
-    def test_ingest_stages_load_no_scipy(self, workdir):
-        # band-pass and Welch are numpy alone, so neither preprocess nor
-        # project --manifest pays any scipy start-up
-        wd, cfg = workdir
-        base = ["--config", str(cfg), "--workdir", str(wd)]
-        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
-                   "--duration", "50") == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-
-        def scipy_modules(*stage):
-            probe = (
-                "import sys\n"
-                "from eegfactor.cli import main\n"
-                f"assert main({base + list(stage)!r}) == 0\n"
-                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            )
-            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                 text=True, check=True, timeout=120)
-            return out.stdout.splitlines()[-1].split()
-
-        manifest = str(wd / "manifest.csv")
-        assert scipy_modules("preprocess", "--manifest", manifest) == []
-        assert run(*base, "decompose", "--rank", "2") == 0
-        assert scipy_modules("project", "--manifest", manifest) == []
-        assert len(read_csv(wd / "weights.csv")) > 1
-
-    def test_diffit_loads_no_scipy(self):
-        # DIFFIT's ALS solves its Gramian systems with numpy alone, so the
-        # diffit stage pays no scipy start-up at all
-        probe = (
-            "import sys\n"
-            "from eegfactor import SynthSpec, diffit, make_tensor\n"
-            "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
-            "rep = diffit(t, r_max=3, n_runs=1)\n"
-            "assert rep.fits[0][0] > 0.0\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.split() == []
-
-    def test_classify_loads_no_scipy(self):
-        # GNB, the SVM's dual solve and the AUC use numpy alone, so the
-        # classify stage pays no scipy start-up at all
-        probe = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from eegfactor import CohortDataset, cross_validate\n"
-            "rng = np.random.default_rng(4)\n"
-            "subjects = tuple(f'S{i // 2}' for i in range(24))\n"
-            "labels = tuple('AD' if i % 4 < 2 else 'CN' for i in range(24))\n"
-            "X = rng.normal(size=(24, 5)) + 2.0 * np.array([l == 'AD' for l in labels])[:, None]\n"
-            "rep = cross_validate(CohortDataset(X, subjects, labels), 'CNvsAD', 'SVM', k=3)\n"
-            "assert rep.mean_auc > 0.5\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.split() == []
-
     def test_flow_runs_with_scipy_unimportable(self, workdir):
         # scipy is a test dependency only: a fresh interpreter that cannot
-        # import it still runs every stage of the synthetic flow
+        # import it still runs every stage of the synthetic flow, then
+        # preprocess and project --manifest on EDF files
         wd, cfg = workdir
         base = ["--config", str(cfg), "--workdir", str(wd)]
+        manifest = str(wd / "manifest.csv")
         stages = [
             ["synth", "--mode", "cohort", "--dims", "20", "19", "89", "--snr-db", "25",
              "--subjects-per-class", "CN=6,MCI=5,AD=6", "--epochs-per-subject", "2"],
@@ -809,6 +855,9 @@ class TestImportCost:
              "--provenance", str(wd / "cohort_provenance.csv")],
             ["classify"],
             ["report"],
+            ["synth", "--mode", "edf", "--n-recordings", "2", "--duration", "50"],
+            ["preprocess", "--manifest", manifest],
+            ["project", "--manifest", manifest],
         ]
         probe = (
             "import sys\n"
@@ -820,19 +869,4 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.splitlines()[-1] == str([0] * len(stages))
-
-    def test_gn_fit_loads_no_scipy(self):
-        # the GN decompose stage solves its steps with numpy alone, so it
-        # pays no scipy start-up at all
-        probe = (
-            "import sys\n"
-            "from eegfactor import CpdOptions, SynthSpec, cpd_gn, make_tensor\n"
-            "t, _ = make_tensor(SynthSpec(dims=(12, 19, 89), rank=3, seed=4))\n"
-            "res = cpd_gn(t, CpdOptions(rank=3, n_starts=2, max_iters=10))\n"
-            "assert res.iterations > 0\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.split() == []
+        assert {r[1] for r in read_csv(wd / "weights.csv")[1:]} == {"rec_000", "rec_001"}

@@ -132,6 +132,50 @@ class TestReadErrors:
             read_edf(bytes(blob))
         assert "digital" in str(exc.value)
 
+    @staticmethod
+    def signal_field_offset(blob, k):
+        """Byte offset of the k-th 8-byte per-signal field after the
+        physical dimension: 0 physical_min, 1 physical_max."""
+        ns = int(blob[252:256].decode())
+        return 256 + ns * (16 + 80 + 8 + 8 * k)
+
+    @pytest.mark.parametrize("text", [b"nan     ", b"inf     ", b"-inf    ", b"1e-320  "])
+    def test_record_duration_without_a_finite_rate(self, text):
+        # nan and inf, and a subnormal duration whose sample rate overflows
+        blob = self.make_blob()
+        blob[244:252] = text
+        with pytest.raises(ParseError) as exc:
+            read_edf(bytes(blob))
+        assert exc.value.field == "record_duration"
+
+    @pytest.mark.parametrize("k, name", [(0, "physical_min"), (1, "physical_max")])
+    @pytest.mark.parametrize("text", [b"nan     ", b"inf     "])
+    def test_non_finite_physical_bound(self, k, name, text):
+        blob = self.make_blob()
+        off = self.signal_field_offset(blob, k) + 8 * 2
+        blob[off : off + 8] = text
+        with pytest.raises(ParseError) as exc:
+            read_edf(bytes(blob))
+        assert exc.value.field == f"{name}[2]"
+        assert exc.value.offset == off
+
+    @pytest.mark.parametrize("lo, hi", [(b"-1e308  ", b"1e308   "), (b"0       ", b"1e308   ")])
+    def test_physical_range_that_overflows(self, lo, hi):
+        # each bound is finite, but the samples they map to are not: the span
+        # overflows, or a one-count digital range scales 16-bit samples past it
+        blob = self.make_blob()
+        lo_off, hi_off = (self.signal_field_offset(blob, k) for k in (0, 1))
+        blob[lo_off : lo_off + 8] = lo
+        blob[hi_off : hi_off + 8] = hi
+        if lo == b"0       ":
+            ns = int(blob[252:256].decode())
+            dig_off = self.signal_field_offset(blob, 2)
+            blob[dig_off : dig_off + 8] = b"0       "
+            blob[dig_off + ns * 8 : dig_off + ns * 8 + 8] = b"1       "
+        with pytest.raises(ParseError) as exc:
+            read_edf(bytes(blob))
+        assert exc.value.field == "physical_max[0]"
+
     def test_parse_is_total_on_fuzz(self):
         # any byte stream must give a Recording or a ParseError, never a crash
         rng = np.random.default_rng(4)
