@@ -13,6 +13,7 @@ cost the ``classify`` stage about 1.2 s of start-up.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,14 @@ class CohortDataset:
         object.__setattr__(self, "subject_ids", subj)
         object.__setattr__(self, "labels", labs)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
     def subject_labels(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for s, l in zip(self.subject_ids, self.labels):
-            out.setdefault(s, l)
-        return out
+        return dict(zip(self.subject_ids, self.labels))
+
+
+def ready_tasks(ds: CohortDataset) -> list[str]:
+    """The tasks, sorted, whose two classes each hold at least two subjects."""
+    counts = Counter(ds.subject_labels().values())
+    return [t for t in sorted(TASKS) if min(counts[label] for label in TASKS[t]) >= 2]
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,6 @@ class CVReport:
     std_auc: float  # population std over valid folds
     fold_assignments: dict[str, int]  # subject -> fold index
     skipped_folds: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "model": self.model,
-            "fold_aucs": [a if a is None else float(a) for a in self.fold_aucs],
-            "mean_auc": float(self.mean_auc),
-            "std_auc": float(self.std_auc),
-            "fold_assignments": dict(sorted(self.fold_assignments.items())),
-            "skipped_folds": list(self.skipped_folds),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +89,7 @@ def gnb_fit(X: np.ndarray, y: np.ndarray) -> GnbModel:
     variance (tiny absolute floor when every feature is constant)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    classes = np.unique(y)
-    if len(classes) != 2 or set(classes) != {0, 1}:
+    if set(np.unique(y)) != {0, 1}:
         raise ArgumentError("gnb_fit requires both classes 0 and 1 present")
     global_var = X.var(axis=0, ddof=0)
     floor = max(1e-9 * float(global_var.max()), 1e-12)
@@ -141,7 +129,6 @@ class SvmModel:
     w: np.ndarray
     b: float
     C: float
-    degenerate: bool = False
 
 
 def svm_objective(m: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -175,7 +162,7 @@ def svm_fit(X: np.ndarray, y: np.ndarray, C: float = 1.0, epochs: int = 200) -> 
         raise ArgumentError(f"C must be nonnegative, got {C}")
     n, d = X.shape
     if C == 0.0:
-        return SvmModel(w=np.zeros(d), b=0.0, C=0.0, degenerate=True)
+        return SvmModel(w=np.zeros(d), b=0.0, C=0.0)
     C = float(C)
     sgn = np.where(y == 1, 1.0, -1.0)
     K = X @ X.T
@@ -248,13 +235,11 @@ def auc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg) with ties counting 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
         raise ArgumentError("auc requires both classes present")
     # average ranks make tied pairs contribute exactly 1/2
     r_pos = float(np.sum(_average_ranks(scores)[labels == 1]))
-    n_pos, n_neg = len(pos), len(neg)
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -268,13 +253,6 @@ def assign_folds(subjects_by_class: dict[str, list[str]], k: int, seed: int) -> 
         for pos, idx in enumerate(perm):
             assignment[subjects[idx]] = pos % k
     return assignment
-
-
-def _standardizer(X_train: np.ndarray):
-    mean = X_train.mean(axis=0)
-    std = X_train.std(axis=0, ddof=0)
-    std = np.where(std > 0, std, 1.0)
-    return lambda X: (X - mean) / std
 
 
 def cross_validate(
@@ -295,57 +273,43 @@ def cross_validate(
         raise ArgumentError(f"task must be one of {sorted(TASKS)}, got {task!r}")
     if model not in ("GNB", "SVM"):
         raise ArgumentError(f"model must be 'GNB' or 'SVM', got {model!r}")
-    neg_label, pos_label = TASKS[task]
-    mask = np.array([l in (neg_label, pos_label) for l in ds.labels])
-    if not mask.any():
-        raise ArgumentError(f"no rows labeled {neg_label} or {pos_label}")
-    X = ds.features[mask]
-    y = np.array([1 if l == pos_label else 0 for l, m in zip(ds.labels, mask) if m])
-    subjects = [s for s, m in zip(ds.subject_ids, mask) if m]
-    subject_label = {s: l for s, l, m in zip(ds.subject_ids, ds.labels, mask) if m}
-    by_class: dict[str, list[str]] = {neg_label: [], pos_label: []}
-    for s, l in subject_label.items():
-        by_class[l].append(s)
-    if len(by_class[neg_label]) < 2 or len(by_class[pos_label]) < 2:
+    if task not in ready_tasks(ds):
         raise ArgumentError(f"task {task} needs at least 2 subjects per class")
-
-    assignment = assign_folds(by_class, k, seed)
-    folds = np.array([assignment[s] for s in subjects])
+    classes = TASKS[task]
+    labels = np.array(ds.labels)
+    rows = np.flatnonzero(np.isin(labels, classes))
+    X = ds.features[rows]
+    y = (labels[rows] == classes[1]).astype(int)
+    # the subject table: sorted subjects, each row's subject, each subject's class
+    subjects, row_subject = np.unique(np.array(ds.subject_ids)[rows], return_inverse=True)
+    subject_y = np.zeros(len(subjects), dtype=int)
+    subject_y[row_subject] = y
+    assignment = assign_folds({classes[c]: subjects[subject_y == c].tolist() for c in (0, 1)},
+                              k, seed)
+    subject_fold = np.array([assignment[s] for s in subjects.tolist()])
+    row_fold = subject_fold[row_subject]
 
     fold_aucs: list = []
-    skipped: list[int] = []
     for f in range(k):
-        test = folds == f
+        test = row_fold == f
         train = ~test
-        train_subjects = {s for s, m in zip(subjects, train) if m}
-        test_subjects = {s for s, m in zip(subjects, test) if m}
-        assert not (train_subjects & test_subjects), "subject leak across folds"
-        if not test.any():
+        assert not np.isin(row_subject[train], row_subject[test]).any(), "subject leak across folds"
+        test_subjects = np.flatnonzero(subject_fold == f)
+        if len(set(subject_y[test_subjects])) < 2 or len(set(y[train])) < 2:
             fold_aucs.append(None)
-            skipped.append(f)
             continue
-        test_classes = {subject_label[s] for s in test_subjects}
-        if len(test_classes) < 2 or len(set(y[train])) < 2:
-            fold_aucs.append(None)
-            skipped.append(f)
-            continue
-        transform = _standardizer(X[train])
-        Xtr, Xte = transform(X[train]), transform(X[test])
+        # standardize with the training rows' statistics
+        mean, std = X[train].mean(axis=0), X[train].std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        Xtr, Xte = (X[train] - mean) / std, (X[test] - mean) / std
         if model == "GNB":
-            m = gnb_fit(Xtr, y[train])
-            scores = gnb_score(m, Xte)
+            scores = gnb_score(gnb_fit(Xtr, y[train]), Xte)
         else:
-            m = svm_fit(Xtr, y[train], C=svm_c, epochs=svm_epochs)
-            scores = svm_score(m, Xte)
-        # average epoch scores per subject
-        per_subject: dict[str, list[float]] = {}
-        test_idx = np.flatnonzero(test)
-        for local, idx in enumerate(test_idx):
-            per_subject.setdefault(subjects[idx], []).append(float(scores[local]))
-        subj_sorted = sorted(per_subject)
-        subj_scores = [float(np.mean(per_subject[s])) for s in subj_sorted]
-        subj_labels = [1 if subject_label[s] == pos_label else 0 for s in subj_sorted]
-        fold_aucs.append(auc(subj_scores, subj_labels))
+            scores = svm_score(svm_fit(Xtr, y[train], C=svm_c, epochs=svm_epochs), Xte)
+        # each test subject scores the mean of its epochs' scores
+        scored = row_subject[test]
+        subject_scores = [np.mean(scores[scored == s]) for s in test_subjects]
+        fold_aucs.append(auc(subject_scores, subject_y[test_subjects]))
     valid = [a for a in fold_aucs if a is not None]
     if not valid:
         raise ArgumentError("every fold was skipped; cohort too small for k")
@@ -356,5 +320,5 @@ def cross_validate(
         mean_auc=float(np.mean(valid)),
         std_auc=float(np.std(valid)),
         fold_assignments=assignment,
-        skipped_folds=tuple(skipped),
+        skipped_folds=tuple(f for f, a in enumerate(fold_aucs) if a is None),
     )

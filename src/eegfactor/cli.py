@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__
 from .channels import CHANNELS, ELECTRODE_COORDS
-from .classify import TASKS, CohortDataset, cross_validate
+from .classify import CohortDataset, cross_validate, ready_tasks
 from .cpd import CpdOptions, cpd_als, cpd_gn
 from .edf import VALID_LABELS, read_edf_file, read_manifest, select_channels, write_edf
 from .errors import (
@@ -376,14 +376,16 @@ def _read_feature_csv(path: Path):
     """Rows of (subject_id, recording_id, epoch_index, feature vector)."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
-    if header is None or header[: len(ID_COLUMNS)] != ID_COLUMNS:
-        raise ParseError(f"{path.name} must start with {','.join(ID_COLUMNS)}", field="header")
+    n_ids = len(ID_COLUMNS)
+    if header is None or len(header) == n_ids or header[:n_ids] != ID_COLUMNS:
+        raise ParseError(f"{path.name} must start with {','.join(ID_COLUMNS)} and go on with "
+                         "one or more feature columns", field="header")
     subjects, feats = [], []
     for row in reader:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-            values = [float(v) for v in row[len(ID_COLUMNS):]]
+            values = [float(v) for v in row[n_ids:]]
             if not all(map(math.isfinite, values)):
                 raise ValueError("features must be finite")
         except ValueError as exc:
@@ -587,7 +589,9 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
     return 0
 
 
-def _classify_feature_set(name, path, labels, cfg, reports, summary_rows):
+def _classify_feature_set(name, path, labels, cfg) -> list:
+    """(name, CVReport) for each model on each task that has two subjects in
+    each class."""
     subjects, feats = _read_feature_csv(path)
     missing = sorted({s for s in subjects if s not in labels})
     if missing:
@@ -598,27 +602,12 @@ def _classify_feature_set(name, path, labels, cfg, reports, summary_rows):
         labels=tuple(labels[s] for s in subjects),
     )
     cl = cfg["classify"]
-    by_label: dict[str, set] = {}
-    for s, l in ds.subject_labels().items():
-        by_label.setdefault(l, set()).add(s)
-    for task in sorted(TASKS):
-        neg, pos = TASKS[task]
-        if len(by_label.get(neg, ())) < 2 or len(by_label.get(pos, ())) < 2:
-            continue
-        for model in ("GNB", "SVM"):
-            report = cross_validate(
-                ds,
-                task,
-                model,
-                k=cl["k_folds"],
-                seed=cl["seed"],
-                svm_c=cl["svm_c"],
-                svm_epochs=cl["svm_epochs"],
-            )
-            reports.append((name, report))
-            summary_rows.append(
-                [name, model, task, float(report.mean_auc), float(report.std_auc)]
-            )
+    return [
+        (name, cross_validate(ds, task, model, k=cl["k_folds"], seed=cl["seed"],
+                              svm_c=cl["svm_c"], svm_epochs=cl["svm_epochs"]))
+        for task in ready_tasks(ds)
+        for model in ("GNB", "SVM")
+    ]
 
 
 def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
@@ -630,25 +619,23 @@ def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
     if not labels_file.is_file():
         raise IngestError(f"missing labels CSV {labels_file.name}; provide --labels")
     labels = _read_labels(labels_file)
-    reports: list = []
-    summary_rows: list = []
-    if weights_path.is_file():
-        _classify_feature_set("TD", weights_path, labels, cfg, reports, summary_rows)
-    if pib_path.is_file():
-        _classify_feature_set("PIB", pib_path, labels, cfg, reports, summary_rows)
-    if not summary_rows:
+    reports = []
+    for name, path in (("TD", weights_path), ("PIB", pib_path)):
+        if path.is_file():
+            reports += _classify_feature_set(name, path, labels, cfg)
+    if not reports:
         raise IngestError("no task had two classes with >= 2 subjects each")
     doc = dict(_stamp(cfg, cfg["classify"]["seed"]))
-    doc["reports"] = [dict(feature=f, **r.to_dict()) for f, r in reports]
+    doc["reports"] = [dict(feature=f, **asdict(r)) for f, r in reports]
     write_json(workdir / "cv_report.json", doc)
     _write_csv(
         workdir / "summary.csv",
         ["feature", "classifier", "task", "mean_auc", "std_auc"],
-        summary_rows,
+        [(f, r.model, r.task, r.mean_auc, r.std_auc) for f, r in reports],
     )
     _write_stage_config(workdir, "classify", cfg, cfg["classify"]["seed"])
-    for row in summary_rows:
-        print(f"classify: {row[0]}-{row[1]} {row[2]} AUC {row[3]:.3f} +/- {row[4]:.3f}")
+    for f, r in reports:
+        print(f"classify: {f}-{r.model} {r.task} AUC {r.mean_auc:.3f} +/- {r.std_auc:.3f}")
     return 0
 
 
@@ -672,21 +659,20 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
         print(f"synth: wrote {args.n_recordings} EDF recordings + manifest.csv")
         return 0
 
-    dims = tuple(args.dims)
     spec = SynthSpec(
-        dims=dims,
-        rank=args.rank,
+        dims=tuple(args.dims),
+        rank=3,
         snr_db=args.snr_db if args.snr_db is not None else math.inf,
-        factor_style=args.style,
-        class_weight_params=_default_class_params(args.rank) if args.mode == "cohort" else {},
+        factor_style="physiological",
+        class_weight_params=_CLASS_WEIGHTS if args.mode == "cohort" else {},
         seed=seed,
     )
     t, truth = make_tensor(spec)
     save_tensor(t, workdir / "tensor.bin")
     save_factors(truth, workdir / "truth_factors.json")
     if args.mode == "cohort":
-        per_class = _parse_subjects_per_class(args.subjects_per_class)
-        cohort = make_cohort(spec, per_class, epochs_per_subject=args.epochs_per_subject)
+        cohort = make_cohort(spec, args.subjects_per_class,
+                             epochs_per_subject=args.epochs_per_subject)
         save_tensor(Tensor3(cohort.psd), workdir / "cohort_tensor.bin")
         _write_provenance(workdir / "cohort_provenance.csv", cohort.ids)
         _write_csv(
@@ -698,7 +684,7 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
                         [f"w{i + 1}" for i in range(spec.rank)], cohort.weights)
         print(
             f"synth: population tensor {t.dims} + cohort of "
-            f"{len(cohort.ids)} epochs ({sum(per_class.values())} subjects)"
+            f"{len(cohort.ids)} epochs ({len(cohort.labels)} subjects)"
         )
     else:
         print(f"synth: population tensor {t.dims} (rank {spec.rank})")
@@ -706,30 +692,28 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
     return 0
 
 
-def _default_class_params(rank: int) -> dict:
-    """Class-conditional weight Gaussians echoing slowing-vs-alpha separation:
-    the impaired classes load more on component 2 and less on component 3."""
-    base = np.full(rank, 1.0)
-    params = {}
-    for label, c2, c3 in (("CN", 0.6, 1.8), ("MCI", 1.1, 1.1), ("AD", 1.8, 0.5)):
-        mean = base.copy()
-        if rank >= 2:
-            mean[1] = c2
-        if rank >= 3:
-            mean[2] = c3
-        params[label] = (mean.tolist(), (0.15 * np.ones(rank)).tolist())
-    return params
+# per class, the (means, stds) of the Gaussian weights of the three
+# physiological components, echoing slowing-vs-alpha separation: the impaired
+# classes load more on component 2 and less on component 3
+_CLASS_WEIGHTS = {
+    "CN": ((1.0, 0.6, 1.8), (0.15,) * 3),
+    "MCI": ((1.0, 1.1, 1.1), (0.15,) * 3),
+    "AD": ((1.0, 1.8, 0.5), (0.15,) * 3),
+}
 
 
-def _parse_subjects_per_class(text: str) -> dict[str, int]:
+def _subjects_per_class(text: str) -> dict[str, int]:
+    """An argparse type: subjects per class, written CN=24,MCI=31,AD=50."""
     out = {}
     try:
         for part in text.split(","):
             label, count = part.split("=")
+            if label.strip() in out:
+                raise argparse.ArgumentTypeError(f"names {label.strip()} twice")
             out[label.strip()] = int(count)
     except ValueError:
-        raise ConfigError(
-            f"--subjects-per-class must look like CN=24,MCI=31,AD=50, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"must look like CN=24,MCI=31,AD=50, got {text!r}"
         ) from None
     return out
 
@@ -775,6 +759,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _at_least(kind, low):
+    """An argparse type: a finite ``kind`` no smaller than ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eegfactor", description=__doc__)
     parser.add_argument("--config", help="YAML config file (defaults merged underneath)")
@@ -800,14 +795,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="seeded synthetic fixtures")
     p.add_argument("--mode", choices=("tensor", "cohort", "edf"), default="tensor")
-    p.add_argument("--dims", type=int, nargs=3, default=(200, 19, 89), metavar=("E", "S", "F"))
-    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--dims", type=_at_least(int, 1), nargs=3, default=(200, 19, 89),
+                   metavar=("E", "S", "F"))
     p.add_argument("--snr-db", type=float, default=None, help="default: noiseless")
-    p.add_argument("--style", choices=("random", "physiological"), default="physiological")
-    p.add_argument("--subjects-per-class", default="CN=24,MCI=31,AD=50")
+    p.add_argument("--subjects-per-class", type=_subjects_per_class,
+                   default="CN=24,MCI=31,AD=50")
     p.add_argument("--epochs-per-subject", type=int, default=4)
-    p.add_argument("--n-recordings", type=int, default=5)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--n-recordings", type=_at_least(int, 1), default=5)
+    p.add_argument("--duration", type=_at_least(float, 1.0), default=60.0, help="seconds")
 
     sub.add_parser("report", help="collect work dir artifacts into one JSON summary")
     return parser

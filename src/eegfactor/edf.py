@@ -225,7 +225,12 @@ def read_edf(data: bytes) -> Recording:
 
 
 def read_edf_file(path) -> Recording:
-    return read_edf(Path(path).read_bytes())
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
+    return read_edf(data)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +393,17 @@ def read_manifest(path) -> list[ManifestEntry]:
             f"manifest must have columns path,subject_id,label, got {reader.fieldnames}",
             field="header",
         )
-    for lineno, row in enumerate(reader, start=2):
-        label = (row["label"] or "").strip() or None
+    for row in reader:
+        where = f"{path.name} line {reader.line_num}"
+        if None in row.values():
+            raise ParseError(f"{where}: fewer fields than the header", field="body")
+        for name in ("path", "subject_id"):
+            if not row[name].strip():
+                raise ParseError(f"{where}: {name} is empty", field=name)
+        label = row["label"].strip() or None
         if label is not None and label not in VALID_LABELS:
-            raise ParseError(
-                f"label must be one of {VALID_LABELS} or empty, got {label!r}",
-                field=f"label (line {lineno})",
-            )
+            raise ParseError(f"{where}: label must be one of {VALID_LABELS} or empty, "
+                             f"got {label!r}", field="label")
         entry_path = Path(row["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path

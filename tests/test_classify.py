@@ -16,7 +16,7 @@ from eegfactor import (
     svm_objective,
     svm_score,
 )
-from eegfactor.classify import SvmModel, _average_ranks
+from eegfactor.classify import TASKS, CVReport, SvmModel, _average_ranks
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -169,7 +169,7 @@ class TestSvm:
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         m = svm_fit(X, y, C=0.0)
-        assert m.degenerate
+        assert m.C == 0.0
         np.testing.assert_array_equal(m.w, 0.0)
 
     def test_single_class_rejected(self):
@@ -329,6 +329,83 @@ class TestCrossValidate:
         ds = make_dataset(rng, {"CN": 4, "AD": 4}, sep=8.0, epochs=3)
         report = cross_validate(ds, "CNvsAD", "GNB", k=4, seed=2)
         assert all(a is None or 0.0 <= a <= 1.0 for a in report.fold_aucs)
+
+
+def cross_validate_oracle(ds, task, model, k, seed, svm_c=1.0, svm_epochs=200):
+    """cross_validate's bookkeeping written out fold by fold with subject sets
+    and a dict of each test subject's epoch scores."""
+    neg_label, pos_label = TASKS[task]
+    mask = [label in (neg_label, pos_label) for label in ds.labels]
+    X = ds.features[np.array(mask)]
+    y = np.array([int(label == pos_label) for label, m in zip(ds.labels, mask) if m])
+    subjects = [s for s, m in zip(ds.subject_ids, mask) if m]
+    subject_label = {s: label for s, label, m in zip(ds.subject_ids, ds.labels, mask) if m}
+    by_class = {neg_label: [], pos_label: []}
+    for s, label in subject_label.items():
+        by_class[label].append(s)
+    assignment = assign_folds(by_class, k, seed)
+    fold_aucs = []
+    for f in range(k):
+        test = np.array([assignment[s] == f for s in subjects])
+        train = ~test
+        test_rows = [s for s, m in zip(subjects, test) if m]
+        assert not set(test_rows) & {s for s, m in zip(subjects, train) if m}
+        if len({subject_label[s] for s in test_rows}) < 2 or len(set(y[train])) < 2:
+            fold_aucs.append(None)
+            continue
+        mean, std = X[train].mean(axis=0), X[train].std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        Xtr, Xte = (X[train] - mean) / std, (X[test] - mean) / std
+        if model == "GNB":
+            scores = gnb_score(gnb_fit(Xtr, y[train]), Xte)
+        else:
+            scores = svm_score(svm_fit(Xtr, y[train], C=svm_c, epochs=svm_epochs), Xte)
+        per_subject: dict[str, list[float]] = {}
+        for s, score in zip(test_rows, scores):
+            per_subject.setdefault(s, []).append(float(score))
+        order = sorted(per_subject)
+        fold_aucs.append(auc([float(np.mean(per_subject[s])) for s in order],
+                             [int(subject_label[s] == pos_label) for s in order]))
+    valid = [a for a in fold_aucs if a is not None]
+    if not valid:
+        return None
+    return CVReport(task, model, tuple(fold_aucs), float(np.mean(valid)), float(np.std(valid)),
+                    assignment, tuple(f for f, a in enumerate(fold_aucs) if a is None))
+
+
+def uneven_dataset(seed):
+    """2-9 subjects per class and 1-5 epochs per subject, the rows shuffled
+    across subjects; the classes overlap."""
+    rng = np.random.default_rng(seed)
+    feats, subjects, labels = [], [], []
+    for label, center in (("CN", 0.0), ("MCI", 0.5), ("AD", 1.0)):
+        for i in range(int(rng.integers(2, 10))):
+            for _ in range(int(rng.integers(1, 6))):
+                feats.append(rng.normal(center, 1.0, 3))
+                subjects.append(f"{label}{i:02d}")
+                labels.append(label)
+    order = rng.permutation(len(feats))
+    return CohortDataset(np.array(feats)[order], tuple(np.array(subjects)[order].tolist()),
+                         tuple(np.array(labels)[order].tolist()))
+
+
+class TestCrossValidateOracle:
+    def test_reports_equal_the_per_fold_oracle(self):
+        skipped = 0
+        for seed in range(24):
+            ds = uneven_dataset(seed)
+            k = (3, 5, 15)[seed % 3]
+            for task in sorted(TASKS):
+                for model in ("GNB", "SVM"):
+                    want = cross_validate_oracle(ds, task, model, k, seed, svm_epochs=50)
+                    if want is None:
+                        with pytest.raises(ArgumentError):
+                            cross_validate(ds, task, model, k=k, seed=seed, svm_epochs=50)
+                        continue
+                    got = cross_validate(ds, task, model, k=k, seed=seed, svm_epochs=50)
+                    assert got == want, (seed, task, model)
+                    skipped += bool(got.skipped_folds)
+        assert skipped > 0
 
 
 class TestAssignFolds:

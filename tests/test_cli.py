@@ -313,6 +313,29 @@ class TestEdfRoute:
                 in capsys.readouterr().err)
         assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
 
+    def test_missing_recording_skips_the_recording(self, workdir, capsys):
+        # a manifest row that names no file is skipped with the usual warning
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        (wd / "rec_001.edf").unlink()
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        err = capsys.readouterr().err
+        assert "warning: skipping rec_001.edf: cannot read " in err and "Traceback" not in err
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+
+    def test_every_recording_missing_is_a_data_error(self, workdir, capsys):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "manifest.csv").write_text("path,subject_id,label\nnone_0.edf,S0,\nnone_1.edf,S1,\n")
+        assert run("--config", str(cfg), "--workdir", str(wd),
+                   "preprocess", "--manifest", str(wd / "manifest.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.count("warning: skipping none_") == 2
+        assert "error: no recording in the manifest survived preprocessing" in err
+
     def test_provenance_matches_a_scipy_chain(self, workdir):
         # preprocess picks the epochs that a chain built from scipy.signal's
         # butter, sosfiltfilt and welch picks, and their spectra agree to
@@ -661,6 +684,48 @@ class TestErrors:
         assert code == 2
         assert f"{name} line 3" in capsys.readouterr().err
 
+    def test_feature_csv_without_feature_column(self, workdir, capsys):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "labels.csv").write_text("subject_id,label\ns0,CN\ns1,AD\n")
+        (wd / "weights.csv").write_text("subject_id,recording_id,epoch_index\ns0,r0,0\ns1,r1,0\n")
+        assert run("--config", str(cfg), "--workdir", str(wd), "classify") == 2
+        err = capsys.readouterr().err
+        assert "error: weights.csv must start with" in err and "feature column" in err
+
+    @pytest.mark.parametrize("row,problem", [
+        ("rec_000.edf", "fewer fields than the header"),
+        ("rec_000.edf,S0", "fewer fields than the header"),
+        (",S0,CN", "path is empty"),
+        ("rec_000.edf, ,CN", "subject_id is empty"),
+    ], ids=["path-only", "no-label", "empty-path", "empty-subject"])
+    def test_bad_manifest_row_names_line(self, workdir, capsys, row, problem):
+        wd, cfg = workdir
+        wd.mkdir(parents=True)
+        (wd / "manifest.csv").write_text(f"path,subject_id,label\nrec_001.edf,S1,\n{row}\n")
+        assert run("--config", str(cfg), "--workdir", str(wd),
+                   "preprocess", "--manifest", str(wd / "manifest.csv")) == 2
+        assert f"error: manifest.csv line 3: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--mode", "edf", "--duration", "0"), "--duration"),
+        (("--mode", "edf", "--duration", "-5"), "--duration"),
+        (("--mode", "edf", "--duration", "nan"), "--duration"),
+        (("--mode", "edf", "--duration", "0.001"), "--duration"),
+        (("--mode", "edf", "--n-recordings", "-1"), "--n-recordings"),
+        (("--dims", "0", "19", "89"), "--dims"),
+        (("--mode", "cohort", "--subjects-per-class", "CN=2,CN=3"), "names CN twice"),
+        (("--style", "random"), "unrecognized arguments"),
+        (("--rank", "2"), "unrecognized arguments"),
+    ], ids=["duration-0", "duration-negative", "duration-nan", "duration-below-one-sample",
+            "n-recordings-negative", "dims-0", "class-twice", "style", "rank"])
+    def test_bad_synth_flag_is_config_error(self, workdir, capsys, argv, flag):
+        wd, cfg = workdir
+        assert run("--config", str(cfg), "--workdir", str(wd), "synth", *argv) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and flag in err
+        assert not (wd / "manifest.csv").exists() and not (wd / "tensor.bin").exists()
+
     @pytest.mark.parametrize("text,line", [
         ("subject_id,label\ns0,CN\ns1,XX\n", 3),
         ("subject_id,label\ns0,CN\ns1,\n", 3),
@@ -789,6 +854,24 @@ class TestLoaderFuzz:
                 self.LOADERS[kind](path)
             except ParseError:
                 pass
+
+    def test_manifest_row_mutations(self, tmp_path):
+        # each row cut short or with a field emptied: an empty label loads,
+        # every other mutation is a ParseError naming the row's line
+        path = tmp_path / "manifest.csv"
+        header, *rows = self.VALID["manifest"].decode().splitlines()
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            mutants = [",".join(fields[:n]) for n in (1, 2)]
+            mutants += [",".join(fields[:j] + [""] + fields[j + 1:]) for j in range(3)]
+            for mutant in mutants:
+                lines = [header, *rows[:i], mutant, *rows[i + 1:]]
+                path.write_text("\n".join(lines) + "\n")
+                if mutant == ",".join(fields[:2] + [""]):
+                    assert read_manifest(path)[i].label is None
+                    continue
+                with pytest.raises(ParseError, match=f"manifest.csv line {i + 2}: "):
+                    read_manifest(path)
 
     def test_tensor_loader_is_total_on_fuzz(self, tmp_path):
         # truncated, flipped and resized tensor files load or give a

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eegfactor import CpdOptions, SynthSpec, make_recording, make_tensor, read_manifest, write_edf
@@ -44,6 +45,26 @@ def test_solvers_reach_the_traced_mttkrp(solver, span):
     assert tr.children_of("tensor.mttkrp", span) > 0
     row = tr.table()[span]
     assert row["self_s"] < row["total_s"]
+
+
+def test_classify_reaches_the_traced_models(tmp_path):
+    # the traced benchmark times the SVM and GNB fits and the AUC under each
+    # cross-validation span: cross_validate must call them through the
+    # eegfactor.classify names that the tracer patches
+    cli = importlib.import_module("eegfactor.cli")
+    rng = np.random.default_rng(2)
+    lines, labels = ["subject_id,recording_id,epoch_index,w1,w2"], {}
+    for i, label in enumerate(("CN", "MCI", "AD") * 3):
+        labels[f"s{i}"] = label
+        lines += [f"s{i},s{i}_r0,{e},{rng.normal()!r},{rng.normal()!r}" for e in range(2)]
+    (tmp_path / "weights.csv").write_text("\n".join(lines) + "\n")
+    cfg = cli.load_config()
+    cfg["classify"].update(k_folds=3, svm_epochs=20)
+    with load_tracer().Tracer() as tr:
+        reports = cli._classify_feature_set("TD", tmp_path / "weights.csv", labels, cfg)
+    assert len(reports) == tr.table()["classify.cv"]["calls"] == 4
+    for span in ("classify.svm_fit", "classify.gnb_fit", "classify.auc"):
+        assert tr.children_of(span, "classify.cv") > 0, span
 
 
 def test_selection_welches_once_per_recording(tmp_path):
