@@ -1,8 +1,8 @@
 """The 19-channel 10-20 montage used throughout the pipeline.
 
-Channel order is fixed: ``edf.select_channels`` puts every recording's rows
-in this order, and the signal chain after it reads channels by row, not by
-label.  Artifact rejection reads Cz at ``CZ_INDEX`` (17) and the awake-epoch
+Channel order is fixed: ``edf.read_montage`` and ``edf.select_channels`` put
+every recording's rows in this order, and the signal chain after them reads
+channels by row, not by label.  Artifact rejection reads Cz at ``CZ_INDEX`` (17) and the awake-epoch
 heuristic reads O1/O2 at ``O1_INDEX``/``O2_INDEX`` (7/15).
 """
 

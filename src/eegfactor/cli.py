@@ -31,7 +31,7 @@ from . import __version__
 from .channels import CHANNELS, ELECTRODE_COORDS
 from .classify import CohortDataset, cross_validate, ready_tasks
 from .cpd import CpdOptions, cpd_als, cpd_gn
-from .edf import VALID_LABELS, read_edf_file, read_manifest, select_channels, write_edf
+from .edf import VALID_LABELS, read_edf_file, read_manifest, read_montage, write_edf
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -405,19 +405,25 @@ def _preprocess_recording(entry, cfg):
     """The spectra of one manifest entry's kept epochs and their ids; the
     ids name the recording by its file stem and the entry's subject."""
     pp = cfg["preprocess"]
-    rec = read_edf_file(entry.path)
-    recording_id, fs = entry.path.stem, rec.sample_rate
+    recording_id = entry.path.stem
     try:
-        # each step copies: free the file's channels before filtering, and the
-        # filtered recording before scoring so the Welch temporaries reuse it
-        samples = select_channels(rec)
-        del rec
+        # one buffer from decode to Welch: the reader decodes the montage into
+        # a fresh array, the band-pass writes over it, and the kept epochs are
+        # moved to its front and viewed there
+        samples, fs, resampled = read_edf_file(entry.path, read_montage)
+        if resampled:
+            rates = ", ".join(f"{ch} ({rate:g} Hz)" for ch, rate in resampled.items())
+            print(f"warning: {entry.path.name}: linearly resampled {rates} to {fs:g} Hz",
+                  file=sys.stderr)
         check_recording(samples.shape[1], fs, pp["band_hi_hz"], pp["filter_order"],
                         pp["epoch_seconds"])
-        samples = bandpass(samples, fs, pp["band_lo_hz"], pp["band_hi_hz"], pp["filter_order"])
-        epochs, ordinals = epoch_and_reject(samples, fs, pp["epoch_seconds"], pp["rejection_sigma"])
-        del samples
+        bandpass(samples, fs, pp["band_lo_hz"], pp["band_hi_hz"], pp["filter_order"],
+                 overwrite=True)
+        epochs, ordinals = epoch_and_reject(samples, fs, pp["epoch_seconds"],
+                                            pp["rejection_sigma"], overwrite=True)
         picked = select_awake_epochs(epochs, fs, pp["min_epochs"], pp["max_epochs"])
+    except OSError as exc:
+        raise IngestError(f"cannot read {entry.path}: {exc.strerror}") from None
     except IngestError as exc:
         raise IngestError(f"recording {recording_id} {exc}") from None
     spectra = [welch(epochs[i], fs) for i in picked]

@@ -4,6 +4,14 @@ Plain EDF only: 256-byte fixed header, 256 bytes of per-signal header fields
 stored field-major, then data records of 16-bit little-endian two's-complement
 samples.  EDF+ annotation signals are dropped with a warning; discontinuous
 EDF+D files are rejected.
+
+Two readers share one header check and one decoder, which maps each signal's
+digital samples to physical units straight into its own row of a fresh
+float64 array: ``read_edf`` decodes every signal into a ``Recording``, and
+``read_montage`` only the 19 montage signals, in ``CHANNELS`` order, into an
+array that the caller owns and the signal chain overwrites.  Both find the
+montage by one label rule, ``_montage_rows``, which ``select_channels``
+applies to a ``Recording``.
 """
 from __future__ import annotations
 
@@ -91,14 +99,29 @@ def _float_field(data: bytes, offset: int, size: int, field: str) -> float:
     return value
 
 
-def read_edf(data: bytes) -> Recording:
-    """Parse an EDF byte stream into physical-unit signals.
+@dataclass(frozen=True)
+class _Header:
+    """The validated header of an EDF byte stream: what decoding needs."""
 
-    Digital samples are mapped to physical units with the per-channel linear
-    map phys = (dig - dig_min) * (phys_max - phys_min) / (dig_max - dig_min)
-    + phys_min.  Channels with differing rates are resampled to the fastest
-    channel rate by linear interpolation.
-    """
+    patient: str
+    recording_field: str
+    labels: list[str]
+    keep: list[int]  # the signals that are not annotations
+    phys_min: list[float]
+    dig_min: list[int]
+    scales: list[float]
+    n_samples: list[int]  # per data record
+    n_records: int
+    record_duration: float
+    header_bytes: int
+
+    def rate(self, i: int) -> float:
+        return self.n_samples[i] / self.record_duration
+
+
+def _read_header(data: bytes) -> _Header:
+    """Parse and check the header of an EDF byte stream; every malformed
+    field, or data records shorter than declared, is a ParseError."""
     if len(data) < 256:
         raise ParseError("file truncated before fixed header", field="header", offset=len(data))
 
@@ -168,8 +191,7 @@ def read_edf(data: bytes) -> Recording:
             offset=244,
         )
 
-    per_record = sum(n_samples)
-    record_bytes = 2 * per_record
+    record_bytes = 2 * sum(n_samples)
     if n_records < 0:
         # unknown record count: infer from the remaining byte count
         n_records = (len(data) - header_bytes) // record_bytes
@@ -183,54 +205,92 @@ def read_edf(data: bytes) -> Recording:
     if n_records == 0:
         raise ParseError("file contains no data records", field="number_of_records", offset=236)
 
-    raw = np.frombuffer(data, dtype="<i2", offset=header_bytes, count=n_records * per_record)
-    raw = raw.reshape(n_records, per_record)
-
     keep = [i for i in range(ns) if labels[i] != ANNOTATION_LABEL]
     if len(keep) < ns:
-        warnings.warn("EDF+ annotation signals skipped", stacklevel=2)
+        warnings.warn("EDF+ annotation signals skipped", stacklevel=3)
     if not keep:
         raise ParseError("file contains only annotation signals", field="label[0]", offset=256)
+    return _Header(patient, recording_field, labels, keep, phys_min, dig_min, scales, n_samples,
+                   n_records, record_duration, header_bytes)
 
-    rates = {i: n_samples[i] / record_duration for i in keep}
-    target_rate = max(rates.values())
-    target_len = int(round(n_records * record_duration * target_rate))
 
-    offsets = np.concatenate([[0], np.cumsum(n_samples)])
-    signals = np.empty((len(keep), target_len), dtype=np.float64)
-    resampled = False
-    for row, i in enumerate(keep):
-        dig = raw[:, offsets[i] : offsets[i + 1]].reshape(-1).astype(np.float64)
-        phys = (dig - dig_min[i]) * scales[i] + phys_min[i]
-        if len(phys) == target_len:
-            signals[row] = phys
-        else:
-            resampled = True
-            t_old = np.arange(len(phys)) / rates[i]
+def _decode(data: bytes, h: _Header, signals: list[int]) -> tuple[np.ndarray, float, list[int]]:
+    """Decode ``signals`` into the rows of one fresh float64 array at the
+    fastest rate of any non-annotation signal; return it, that rate and the
+    rows that were resampled to it.
+
+    Each row is decoded in place: phys = (dig - dig_min) * scale + phys_min
+    over the row, so there is no per-signal temporary unless the signal is
+    slower than the target and is linearly interpolated onto it.
+    """
+    per_record = sum(h.n_samples)
+    raw = np.frombuffer(data, dtype="<i2", offset=h.header_bytes, count=h.n_records * per_record)
+    raw = raw.reshape(h.n_records, per_record)
+    offsets = np.concatenate([[0], np.cumsum(h.n_samples)])
+    target_rate = max(h.rate(i) for i in h.keep)
+    target_len = int(round(h.n_records * h.record_duration * target_rate))
+    out = np.empty((len(signals), target_len))
+    resampled = []
+    for row, i in enumerate(signals):
+        dig = raw[:, offsets[i] : offsets[i + 1]]
+        at_rate = dig.size == target_len
+        phys = out[row].reshape(dig.shape) if at_rate else np.empty(dig.shape)
+        np.subtract(dig, h.dig_min[i], out=phys, dtype=np.float64)
+        phys *= h.scales[i]
+        phys += h.phys_min[i]
+        if not at_rate:
+            resampled.append(row)
+            t_old = np.arange(dig.size) / h.rate(i)
             t_new = np.arange(target_len) / target_rate
-            signals[row] = np.interp(t_new, t_old, phys)
+            out[row] = np.interp(t_new, t_old, phys.reshape(-1))
+    return out, target_rate, resampled
 
-    recording_id = recording_field
+
+def read_edf(data: bytes) -> Recording:
+    """Parse an EDF byte stream into physical-unit signals.
+
+    Digital samples are mapped to physical units with the per-channel linear
+    map phys = (dig - dig_min) * (phys_max - phys_min) / (dig_max - dig_min)
+    + phys_min.  Channels with differing rates are resampled to the fastest
+    channel rate by linear interpolation, and the recording id says so.
+    """
+    h = _read_header(data)
+    signals, rate, resampled = _decode(data, h, h.keep)
+    recording_id = h.recording_field
     if resampled:
         recording_id = (recording_id + " [resampled]").strip()
-    subject_id = patient.split()[0] if patient else ""
     signals.flags.writeable = False
     return Recording(
         samples=signals,
-        sample_rate=target_rate,
-        channel_labels=tuple(labels[i] for i in keep),
+        sample_rate=rate,
+        channel_labels=tuple(h.labels[i] for i in h.keep),
         recording_id=recording_id,
-        subject_id=subject_id,
+        subject_id=h.patient.split()[0] if h.patient else "",
     )
 
 
-def read_edf_file(path) -> Recording:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
-    return read_edf(data)
+def read_montage(data: bytes) -> tuple[np.ndarray, float, dict[str, float]]:
+    """The (19, n) montage of an EDF byte stream, its sample rate and the
+    montage channels that were resampled, each with its own rate.
+
+    Only the 19 montage signals are decoded, straight into the rows of one
+    fresh, writable array that the caller owns, in ``CHANNELS`` order.  The
+    rows and the rate are those of ``select_channels(read_edf(data))``, bit
+    for bit: the rate is the fastest of every non-annotation signal, montage
+    or not, and a slower montage channel is interpolated onto it.  A missing
+    channel is ``select_channels``' IngestError.
+    """
+    h = _read_header(data)
+    signals = [h.keep[k] for k in _montage_rows([h.labels[i] for i in h.keep])]
+    samples, rate, resampled = _decode(data, h, signals)
+    return samples, rate, {CHANNELS[row]: h.rate(signals[row]) for row in resampled}
+
+
+def read_edf_file(path, parse=read_edf):
+    """``parse`` of the bytes of the file at ``path``: by default its
+    Recording, or with ``read_montage`` its montage.  An unreadable file
+    raises the OSError of reading it."""
+    return parse(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +405,28 @@ def _normalize_label(label: str) -> str:
     return s.strip()
 
 
-def select_channels(r: Recording) -> np.ndarray:
-    """The read-only (19, n) montage of ``r``: row i is channel ``CHANNELS[i]``.
+def _montage_rows(labels) -> list[int]:
+    """The position in ``labels`` of each channel of ``CHANNELS``, in order.
 
     Matching is case-insensitive after stripping the "EEG " prefix and
-    "-REF"/"-LE" suffixes.  A missing channel is an IngestError that reads
-    as a predicate ("lacks channels: Cz, Pz"); the caller names the recording.
+    "-REF"/"-LE" suffixes, and the first matching label wins.  A missing
+    channel is an IngestError that reads as a predicate ("lacks channels:
+    Cz, Pz"); the caller names the recording.
     """
     available = {}
-    for i, label in enumerate(r.channel_labels):
+    for i, label in enumerate(labels):
         available.setdefault(_normalize_label(label), i)
-    indices, missing = [], []
-    for want in CHANNELS:
-        idx = available.get(_normalize_label(want))
-        if idx is None:
-            missing.append(want)
-        else:
-            indices.append(idx)
+    rows = [available.get(_normalize_label(want)) for want in CHANNELS]
+    missing = [want for want, row in zip(CHANNELS, rows) if row is None]
     if missing:
         raise IngestError(f"lacks channels: {', '.join(missing)}")
-    samples = r.samples[indices]
+    return rows
+
+
+def select_channels(r: Recording) -> np.ndarray:
+    """The read-only (19, n) montage of ``r``: row i is channel
+    ``CHANNELS[i]``, matched by ``_montage_rows``."""
+    samples = r.samples[_montage_rows(r.channel_labels)]
     samples.flags.writeable = False
     return samples
 

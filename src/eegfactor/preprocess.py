@@ -1,11 +1,11 @@
 """Montage-to-spectrum preprocessing chain on plain numpy arrays.
 
 Each kernel takes an array, its sample rate and its settings, starting from
-the (19, n) montage of ``edf.select_channels``, rows in ``CHANNELS`` order:
-zero-phase band-pass (``bandpass``), contiguous 10-s epoching with
-high-power Cz rejection (``epoch_and_reject``: a (k, 19, n) stack of kept
-epochs and their ordinals), awake-epoch selection by posterior alpha
-(``select_awake_epochs``: positions into that stack), and Welch power
+the (19, n) montage of ``edf.read_montage`` or ``edf.select_channels``, rows
+in ``CHANNELS`` order: zero-phase band-pass (``bandpass``), contiguous 10-s
+epoching with high-power Cz rejection (``epoch_and_reject``: a (k, 19, n)
+stack of kept epochs and their ordinals), awake-epoch selection by posterior
+alpha (``select_awake_epochs``: positions into that stack), and Welch power
 spectral densities on a fixed 1.0-45.0 Hz grid (``welch``: any (..., n) stack
 to its (..., 89) spectra in one call).  Selection Welches the O1 and O2 rows
 of all k epochs in one call; the caller Welches each picked (19, n) epoch,
@@ -15,6 +15,13 @@ that refuses a recording, for the caller to run before filtering.  The
 arrays carry no names, so IngestErrors read as predicates ("holds fewer
 than 2 epochs"); the caller prefixes the recording.  Power-in-bands (PIB)
 features live here too; ``pib`` takes one (19, 89) spectrum or a stack.
+
+A caller that owns its montage can run the chain in that one buffer:
+``bandpass(..., overwrite=True)`` filters it in place, and
+``epoch_and_reject(..., overwrite=True)`` moves the kept epochs to its front
+and returns a read-only view of them; without ``overwrite`` both work on a
+copy, to the same bits.  ``welch`` takes such strided views and transforms
+them in blocks of rows.
 
 The signal kernels are numpy alone, and no stage imports ``scipy.signal``
 (its import cost each fresh stage interpreter about a second and 70 MB).
@@ -54,6 +61,9 @@ _BLOCK = 64
 # samples per chunk of a band-pass pass: the chunk's temporaries are all the
 # memory the filter takes beyond its input and its output
 _CHUNK = 32 * _BLOCK
+# input samples per block of rows that ``welch`` transforms at once: its
+# temporaries are a few times the block, whatever the stack's size
+_WELCH_BLOCK = 1 << 14
 
 # integration tiles for PIB; shared edges are half-counted by the trapezoids,
 # so the five bands partition the full 1-45 Hz power exactly
@@ -238,19 +248,29 @@ class _BlockCascade:
         return state
 
 
+def _check_overwritable(samples, what: str):
+    """Refuse, as an ArgumentError, an array that ``what`` cannot overwrite."""
+    if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
+            and samples.flags.c_contiguous and samples.flags.writeable):
+        raise ArgumentError(f"{what} can only overwrite a writable C-contiguous float64 array")
+
+
 def bandpass(samples: np.ndarray, sample_rate: float, lo: float = 0.5, hi: float = 45.0,
-             order: int = 8) -> np.ndarray:
-    """The read-only zero-phase Butterworth band-pass of each row of a
-    (channels, n) array: ``scipy.signal.sosfiltfilt`` of the
-    ``_butter_bandpass`` cascade, to roundoff.
+             order: int = 8, *, overwrite: bool = False) -> np.ndarray:
+    """The zero-phase Butterworth band-pass of each row of a (channels, n)
+    array: ``scipy.signal.sosfiltfilt`` of the ``_butter_bandpass`` cascade,
+    to roundoff.  The result is a fresh read-only array or, with
+    ``overwrite``, ``samples`` itself, filtered in place; both hold the same
+    bits.
 
     The rows are extended at both ends by an odd reflection of
     3 * (2 * order + 1) samples, filtered forward from the steady state of
     their first sample, then backward from the steady state of the forward
     pass's last sample, and cut back to their own span.  Both passes run in
     chunks of ``_CHUNK`` samples, for all channels at once, through
-    ``_BlockCascade``; the backward pass overwrites the forward output in
-    place, and its output over the leading extension is never computed.
+    ``_BlockCascade``: the forward pass copies each chunk of input before
+    its output lands there, the backward pass overwrites the forward output
+    in place, and its output over the leading extension is never computed.
     """
     if not 0 < lo < hi:
         raise ArgumentError(f"band edges must satisfy 0 < lo < hi, got {lo} and {hi} Hz")
@@ -259,6 +279,8 @@ def bandpass(samples: np.ndarray, sample_rate: float, lo: float = 0.5, hi: float
     if order < 1 or int(order) != order:
         raise ArgumentError(f"filter order must be an integer >= 1, got {order}")
     order = int(order)
+    if overwrite:
+        _check_overwritable(samples, "bandpass")
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ArgumentError(f"samples must be a (channels, n) array, got shape {x.shape}")
@@ -267,13 +289,13 @@ def bandpass(samples: np.ndarray, sample_rate: float, lo: float = 0.5, hi: float
         raise ArgumentError(f"recording of {x.shape[1]} samples is not longer than the "
                             f"{edge}-sample odd extension of an order-{order} band-pass")
     cascade = _BlockCascade(_butter_bandpass(order, lo, hi, sample_rate))
-    filtered = np.empty(x.shape)
+    filtered = x if overwrite else np.empty(x.shape)
     head = 2.0 * x[:, :1] - x[:, edge:0:-1]
     tail = 2.0 * x[:, -1:] - x[:, -2:-edge - 2:-1]
     # forward: the head's output is cut, so it only sets the state
     state = cascade.run(head, head[:, :1] * cascade.zi, np.empty_like(head))
     for j in range(0, x.shape[1], _CHUNK):
-        state = cascade.run(x[:, j:j + _CHUNK], state, filtered[:, j:j + _CHUNK])
+        state = cascade.run(x[:, j:j + _CHUNK].copy(), state, filtered[:, j:j + _CHUNK])
     tail_out = np.empty_like(tail)
     cascade.run(tail, state, tail_out)
     # backward, from the end of the tail
@@ -285,12 +307,14 @@ def bandpass(samples: np.ndarray, sample_rate: float, lo: float = 0.5, hi: float
         out = np.empty_like(reverse)
         state = cascade.run(reverse, state, out)
         filtered[:, span] = out[:, ::-1]
-    filtered.flags.writeable = False
+    if not overwrite:
+        filtered.flags.writeable = False
     return filtered
 
 
 def epoch_and_reject(
-    samples: np.ndarray, sample_rate: float, epoch_seconds: float = 10.0, sigma: float = 2.0
+    samples: np.ndarray, sample_rate: float, epoch_seconds: float = 10.0, sigma: float = 2.0,
+    *, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cut a (19, n) montage into contiguous non-overlapping epochs,
     dropping high-power Cz epochs.
@@ -300,15 +324,27 @@ def epoch_and_reject(
     dropped when the total power of its Cz row, ``CZ_INDEX``, exceeds
     mean + sigma*std of the per-epoch Cz powers of this recording (strictly
     greater, one-sided).  The sub-epoch remainder is discarded.
+
+    The stack is a view: the j-th kept epoch is moved in place into the
+    j-th epoch's slot of a copy of ``samples`` or, with ``overwrite``, of
+    ``samples`` itself, which then no longer holds the recording.
     """
     if np.ndim(samples) != 2 or len(samples) != len(CHANNELS):
         raise ArgumentError(f"samples must be the ({len(CHANNELS)}, n) montage, "
                             f"got shape {np.shape(samples)}")
+    if overwrite:
+        _check_overwritable(samples, "epoch_and_reject")
     n_per, n_epochs = _whole_epochs(samples.shape[1], sample_rate, epoch_seconds)
-    segments = samples[:, : n_epochs * n_per].reshape(len(CHANNELS), n_epochs, n_per)
+    buffer = samples if overwrite else samples[:, : n_epochs * n_per].copy()
+    segments = buffer[:, : n_epochs * n_per].reshape(len(CHANNELS), n_epochs, n_per)
     power = np.sum(segments[CZ_INDEX] ** 2, axis=1)
     kept = np.flatnonzero(~(power > power.mean() + sigma * power.std()))
-    epochs = segments.transpose(1, 0, 2)[kept]
+    # each kept epoch moves to a slot at or before its own, so no kept epoch
+    # is overwritten before it moves
+    for slot, k in enumerate(kept):
+        if slot != k:
+            segments[:, slot] = segments[:, k]
+    epochs = segments[:, : len(kept)].transpose(1, 0, 2)
     epochs.flags.writeable = False
     return epochs, kept
 
@@ -331,7 +367,9 @@ def select_awake_epochs(
         raise IngestError(
             f"has {len(epochs)} epochs after rejection, need at least {min_epochs}"
         )
-    power = welch(epochs[:, [O1_INDEX, O2_INDEX]], sample_rate) @ _BAND_WEIGHTS
+    # the O1 and O2 rows as a view: a slice stepping from one to the other
+    posterior = epochs[:, O1_INDEX : O2_INDEX + 1 : O2_INDEX - O1_INDEX]
+    power = welch(posterior, sample_rate) @ _BAND_WEIGHTS
     alpha, total = power[..., _ALPHA], power[..., _TOTAL]
     scores = np.mean(np.divide(alpha, total, out=np.zeros_like(alpha), where=total > 0),
                      axis=1)
@@ -348,28 +386,37 @@ def welch(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     (..., 89), uV^2/Hz.  It equals ``scipy.signal.welch`` with those settings
     to roundoff.
 
-    One ``np.fft.rfft`` covers every segment of every row, and each row comes
-    out bit-identical to a call on that row's epoch alone.
+    The rows are transformed in blocks of about ``_WELCH_BLOCK`` samples,
+    each block gathered from the stack, which may be any strided view, and
+    all its segments given to one ``np.fft.rfft``; so the temporaries stay
+    a few blocks in size, and each row comes out bit-identical to a call on
+    that row's epoch alone.
     """
     if sample_rate < _WELCH_MIN_RATE:
         raise ArgumentError(f"sample rate {sample_rate} Hz cannot support the 45 Hz grid")
     nperseg = int(round(WELCH_SEGMENT_SECONDS * sample_rate))
     if samples.shape[-1] < nperseg:
         raise ArgumentError("epoch shorter than one Welch segment")
-    segments = sliding_window_view(np.asarray(samples, dtype=np.float64), nperseg, axis=-1)
-    segments = segments[..., :: nperseg - nperseg // 2, :]
+    x = np.asarray(samples, dtype=np.float64)
+    stack = x if x.ndim > 1 else x[None]
     window = 0.54 + 0.46 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
-    spectra = np.fft.rfft((segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1)
-    power = spectra.real**2 + spectra.imag**2
-    # one-sided: every bin but DC, and Nyquist when there is one, counts twice
-    power[..., 1 : None if nperseg % 2 else -1] *= 2.0
-    psd = power.mean(axis=-2) / (sample_rate * np.sum(window * window))
+    scale = sample_rate * np.sum(window * window)
     freqs = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
-    rows = psd.reshape(-1, psd.shape[-1])
-    on_grid = np.empty((len(rows), len(FREQ_GRID)))
-    for out, row in zip(on_grid, rows):
-        out[:] = np.interp(FREQ_GRID, freqs, row)
-    return on_grid.reshape(psd.shape[:-1] + (len(FREQ_GRID),))
+    on_grid = np.empty((int(np.prod(stack.shape[:-1])), len(FREQ_GRID)))
+    step = max(1, _WELCH_BLOCK // x.shape[-1])
+    for start in range(0, len(on_grid), step):
+        block = slice(start, min(start + step, len(on_grid)))
+        rows = stack[np.unravel_index(np.arange(block.start, block.stop), stack.shape[:-1])]
+        segments = sliding_window_view(rows, nperseg, axis=-1)[:, :: nperseg - nperseg // 2]
+        centred = segments - segments.mean(axis=-1, keepdims=True)
+        centred *= window
+        spectra = np.fft.rfft(centred, axis=-1)
+        power = spectra.real**2 + spectra.imag**2
+        # one-sided: every bin but DC, and Nyquist when there is one, counts twice
+        power[..., 1 : None if nperseg % 2 else -1] *= 2.0
+        for out, row in zip(on_grid[block], power.mean(axis=-2) / scale):
+            out[:] = np.interp(FREQ_GRID, freqs, row)
+    return on_grid.reshape(x.shape[:-1] + (len(FREQ_GRID),))
 
 
 def pib(psd) -> np.ndarray:

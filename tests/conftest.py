@@ -59,3 +59,29 @@ def factor_match_score(a: FactorSet, b: FactorSet) -> float:
     )
     rows, cols = linear_sum_assignment(-P)
     return float(P[rows, cols].sum() / a.rank)
+
+
+def edf_bytes(signals, seconds: int) -> bytes:
+    """A plain EDF of one-second records from (label, rate, physical samples)
+    triples, each holding ``seconds * rate`` samples within +-200 uV: the
+    mixed-rate files that ``write_edf`` cannot make."""
+    def fields(values, size):
+        return b"".join(str(v).encode("ascii").ljust(size) for v in values)
+
+    ns = len(signals)
+    head = b"".join([
+        fields(["0"], 8), fields(["subj"], 80), fields(["rec"], 80), fields(["01.01.00"], 8),
+        fields(["00.00.00"], 8), fields([256 + 256 * ns], 8), fields([""], 44),
+        fields([seconds], 8), fields(["1"], 8), fields([ns], 4),
+    ])
+    labels, rates, _ = zip(*signals)
+    sig = b"".join([
+        fields(labels, 16), fields([""] * ns, 80), fields(["uV"] * ns, 8),
+        fields([-200] * ns, 8), fields([200] * ns, 8),
+        fields([-32768] * ns, 8), fields([32767] * ns, 8),
+        fields([""] * ns, 80), fields(rates, 8), fields([""] * ns, 32),
+    ])
+    step = 400.0 / 65535
+    dig = [np.clip(np.rint((np.asarray(x) + 200.0) / step) - 32768, -32768, 32767)
+           .astype("<i2").reshape(seconds, rate) for _, rate, x in signals]
+    return head + sig + np.concatenate(dig, axis=1).tobytes()

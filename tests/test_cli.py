@@ -28,9 +28,11 @@ from eegfactor import (
     write_edf,
 )
 from eegfactor import cli
-from eegfactor.channels import O1_INDEX, O2_INDEX
+from eegfactor.channels import CHANNELS, O1_INDEX, O2_INDEX
 from eegfactor.cli import _read_feature_csv, _read_labels, _read_provenance, _sha256, main
 from eegfactor.preprocess import _ALPHA, _BAND_WEIGHTS, _TOTAL, FREQ_GRID
+
+from conftest import edf_bytes
 
 CONFIG = """\
 preprocess:
@@ -312,6 +314,24 @@ class TestEdfRoute:
         assert ("warning: skipping rec_001.edf: recording rec_001 lacks channels: Cz, Pz\n"
                 in capsys.readouterr().err)
         assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000"}
+
+    def test_resampling_warning_names_file_channels_and_rates(self, workdir, capsys):
+        # a montage channel slower than the recording's rate is interpolated
+        # onto it, and preprocess says so; the other recording is silent
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        rows = make_recording(seed=1, duration=50.0).samples
+        signals = [(ch, 256, row) for ch, row in zip(CHANNELS, rows)]
+        for ch in ("O1", "Pz"):
+            signals[CHANNELS.index(ch)] = (ch, 128, rows[CHANNELS.index(ch), ::2])
+        (wd / "rec_001.edf").write_bytes(edf_bytes(signals, 50))
+        capsys.readouterr()
+        assert run(*base, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: rec_001.edf: linearly resampled O1 (128 Hz), Pz (128 Hz) to 256 Hz\n"
+        assert {r[2] for r in read_csv(wd / "provenance.csv")[1:]} == {"rec_000", "rec_001"}
 
     def test_missing_recording_skips_the_recording(self, workdir, capsys):
         # a manifest row that names no file is skipped with the usual warning

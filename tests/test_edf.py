@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from eegfactor import (
     write_edf,
 )
 from eegfactor.channels import CHANNELS
+from eegfactor.edf import read_montage
+
+from conftest import edf_bytes
 
 
 def lsb_per_channel(rec):
@@ -240,6 +245,68 @@ class TestSelectChannels:
         noisy, _, _ = self.decorated_style()
         out = select_channels(noisy)
         np.testing.assert_array_equal(out[17], noisy.samples[noisy.channel_labels.index("EEG CZ-REF")])
+
+
+def _montage_case(name):
+    """EDF bytes of one reader-oracle case, and the montage channels it
+    resamples, each with its own rate."""
+    seconds = 20
+    x = make_recording(seed=9, duration=float(seconds)).samples
+    rng = np.random.default_rng(10)
+    if name == "shuffled":
+        order = rng.permutation(19)
+        labels = tuple(f"EEG {CHANNELS[i].upper()}-REF" for i in order)
+        return write_edf(Recording(x[order], 256.0, labels)), {}
+    if name in ("ekg", "annotation"):
+        extra = "EKG" if name == "ekg" else "EDF Annotations"
+        samples = np.insert(x, 5, 80.0 * rng.standard_normal(x.shape[1]), axis=0)
+        labels = CHANNELS[:5] + (extra,) + CHANNELS[5:]
+        return write_edf(Recording(samples, 256.0, labels)), {}
+    t = {rate: np.arange(seconds * rate) / rate for rate in (128, 200, 512)}
+    signals = [(f"EEG {ch}-LE", 256, row) for ch, row in zip(CHANNELS, x)]
+    if name == "mixed_rate":
+        for ch, rate in (("O1", 128), ("Cz", 128), ("Pz", 200)):
+            tone = 40.0 * np.sin(2 * np.pi * 9.0 * t[rate]) + rng.standard_normal(len(t[rate]))
+            signals[CHANNELS.index(ch)] = (ch, rate, tone)
+        return edf_bytes(signals, seconds), {"O1": 128.0, "Cz": 128.0, "Pz": 200.0}
+    # a faster non-EEG signal sets the rate, so every montage row is resampled
+    signals.insert(3, ("ECG", 512, 90.0 * np.sin(2 * np.pi * 1.2 * t[512])))
+    return edf_bytes(signals, seconds), dict.fromkeys(CHANNELS, 256.0)
+
+
+class TestReadMontage:
+    @pytest.mark.parametrize("case", ["shuffled", "ekg", "annotation", "mixed_rate",
+                                      "faster_ekg"])
+    def test_equals_selected_recording_bit_for_bit(self, case):
+        blob, want_resampled = _montage_case(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples, rate, resampled = read_montage(blob)
+            rec = read_edf(blob)
+        assert len(caught) == 2 * (case == "annotation")
+        want = select_channels(rec)
+        assert rate == rec.sample_rate
+        assert samples.dtype == want.dtype and samples.shape == want.shape
+        assert samples.tobytes() == want.tobytes()
+        # the caller owns the buffer and may overwrite it
+        assert samples.flags.writeable and samples.flags.owndata and samples.flags.c_contiguous
+        assert resampled == want_resampled
+        assert ("[resampled]" in rec.recording_id) == (case in ("mixed_rate", "faster_ekg"))
+
+    def test_missing_channel_listed(self):
+        rec = make_recording(seed=8, duration=20.0)
+        reduced = Recording(rec.samples[:17], rec.sample_rate, rec.channel_labels[:17])
+        with pytest.raises(IngestError) as exc:
+            read_montage(write_edf(reduced))
+        assert str(exc.value) == "lacks channels: Cz, Pz"
+
+    def test_parse_errors_come_first(self):
+        # a malformed header is the ParseError read_edf gives, even when the
+        # montage is incomplete too
+        rec = make_recording(seed=8, duration=20.0)
+        blob = write_edf(Recording(rec.samples[:17], rec.sample_rate, rec.channel_labels[:17]))
+        with pytest.raises(ParseError, match="declared"):
+            read_montage(blob[:-2])
 
 
 class TestMixedRates:

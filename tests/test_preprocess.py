@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,9 @@ from eegfactor.preprocess import (
     BANDS,
     FREQ_GRID,
     PIB_NAMES,
+    _BLOCK,
+    _CHUNK,
+    _WELCH_BLOCK,
     _butter_bandpass,
     _odd_extension,
     check_recording,
@@ -209,6 +210,54 @@ class TestScipyOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestOverwrite:
+    @pytest.mark.parametrize("order", range(2, 9))
+    @pytest.mark.parametrize("fs", [128.0, 200.0, 256.0, 500.0])
+    def test_bandpass_over_its_input_is_bit_identical(self, fs, order):
+        # chunks, whole blocks and a remainder
+        rng = np.random.default_rng(int(fs) + order)
+        x = 40.0 * rng.standard_normal((19, 2 * _CHUNK + 3 * _BLOCK + 17)) + 5.0
+        fresh = bandpass(x, fs, order=order)
+        buffer = x.copy()
+        assert bandpass(buffer, fs, order=order, overwrite=True) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+        assert buffer.flags.writeable and not fresh.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda x: bandpass(x, FS),  # read-only
+        lambda x: np.asfortranarray(x),
+        lambda x: x.astype(np.float32),
+        lambda x: x.tolist(),
+    ])
+    def test_only_a_writable_float64_buffer_is_overwritten(self, make):
+        x = make(np.random.default_rng(3).standard_normal((19, int(30 * FS))))
+        with pytest.raises(ArgumentError, match="overwrite"):
+            bandpass(x, FS, overwrite=True)
+        with pytest.raises(ArgumentError, match="overwrite"):
+            epoch_and_reject(x, FS, overwrite=True)
+
+    @pytest.mark.parametrize("bursts", [(0,), (0, 3), (4, 17), ()])
+    def test_epoch_views_equal_copied_epochs(self, bursts):
+        rec = make_recording(seed=4, duration=205.0, tones=((10.0, 5.0),), noise_uv=1.0)
+        x = np.array(rec.samples)
+        n = int(10 * FS)
+        for e in bursts:
+            x[CZ_INDEX, e * n : (e + 1) * n] *= 12.0
+        viewed, kept = epoch_and_reject(x, FS)
+        assert set(bursts).isdisjoint(kept.tolist())
+        # the oracle copies the kept epochs out of the recording
+        copied = x[:, : 20 * n].reshape(19, 20, n).transpose(1, 0, 2)[kept]
+        assert viewed.shape == copied.shape and viewed.tobytes() == copied.tobytes()
+        buffer = x.copy()
+        in_place, kept_in_place = epoch_and_reject(buffer, FS, overwrite=True)
+        assert np.array_equal(kept_in_place, kept) and in_place.tobytes() == copied.tobytes()
+        assert np.shares_memory(in_place, buffer) and not in_place.flags.writeable
+        assert not np.shares_memory(viewed, x) and not viewed.flags.writeable
+        # the Welch spectra of the views are those of the copies
+        assert np.array_equal(welch(in_place[-1], FS), welch(copied[-1], FS))
+        assert np.array_equal(select_awake_epochs(in_place, FS), select_awake_epochs(copied, FS))
+
+
 class TestEpochAndReject:
     def test_burst_epoch_removed(self):
         rec = make_recording(seed=1, duration=60.0, tones=((10.0, 5.0),), noise_uv=1.0)
@@ -337,27 +386,25 @@ class TestSelectAwakeEpochs:
 
         assert np.array_equal(select_awake_epochs(epochs, FS), oracle(epochs))
 
-    def test_filtered_recording_freed_before_scoring(self, tmp_path, monkeypatch):
-        # the epochs are a copy, so _preprocess_recording drops the band-passed
-        # array before scoring and the per-epoch Welch calls run without it
+    def test_recording_peak_within_one_buffer(self, tmp_path):
+        # the chain holds one recording-sized float64 buffer from decode to
+        # Welch: the montage is decoded into it, band-passed over it and cut
+        # into views of it, so the live peak stays near one montage
+        import tracemalloc
+
+        seconds = 300.0
         path = tmp_path / "rec.edf"
-        path.write_bytes(write_edf(make_recording(seed=2, duration=60.0)))
-        refs, alive = [], []
-        real_cut, real_select = cli.epoch_and_reject, cli.select_awake_epochs
-
-        def cut(samples, *args):
-            refs.append(weakref.ref(samples))
-            return real_cut(samples, *args)
-
-        def select(*args):
-            alive.extend(ref() is not None for ref in refs)
-            return real_select(*args)
-
-        monkeypatch.setattr(cli, "epoch_and_reject", cut)
-        monkeypatch.setattr(cli, "select_awake_epochs", select)
-        spectra, _ = cli._preprocess_recording(ManifestEntry(path, "s0", None),
-                                               cli.load_config())
-        assert spectra and alive == [False]
+        path.write_bytes(write_edf(make_recording(seed=2, duration=seconds)))
+        entry, cfg = ManifestEntry(path, "s0", None), cli.load_config()
+        cli._preprocess_recording(entry, cfg)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            spectra, _ = cli._preprocess_recording(entry, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        montage = len(CHANNELS) * int(seconds * FS) * 8
+        assert spectra and peak <= 1.4 * montage
 
 
 def tone_epoch(freq, amp=1.0, fs=FS):
@@ -409,6 +456,18 @@ class TestWelch:
         assert np.array_equal(psd, np.stack([welch(e, fs) for e in stack]))
         rows = [O1_INDEX, O2_INDEX]
         assert np.array_equal(welch(stack[:, rows], fs), psd[:, rows])
+
+    @pytest.mark.parametrize("fs", [128.0, 200.0, 256.0, 500.0])
+    def test_blocks_of_a_strided_stack_equal_row_calls(self, fs):
+        # a stack of epoch views into one recording, many blocks of rows deep:
+        # each row's spectrum is that of a call on the row alone
+        n = int(10 * fs)
+        x = 30.0 * np.random.default_rng(int(fs)).standard_normal((19, 7 * n + 5))
+        stack = x[:, : 7 * n].reshape(19, 7, n).transpose(1, 0, 2)
+        psd = welch(stack, fs)
+        assert len(stack.reshape(-1, n)) > 2 * max(1, _WELCH_BLOCK // n)
+        for i, c in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(psd[i, c], welch(np.array(stack[i, c]), fs))
 
     def test_determinism(self):
         rec = make_recording(seed=3, duration=30.0)
