@@ -673,12 +673,14 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
         class_weight_params=_CLASS_WEIGHTS if args.mode == "cohort" else {},
         seed=seed,
     )
+    # the cohort is built first: one it refuses leaves the work dir untouched
+    if args.mode == "cohort":
+        cohort = make_cohort(spec, args.subjects_per_class,
+                             epochs_per_subject=args.epochs_per_subject)
     t, truth = make_tensor(spec)
     save_tensor(t, workdir / "tensor.bin")
     save_factors(truth, workdir / "truth_factors.json")
     if args.mode == "cohort":
-        cohort = make_cohort(spec, args.subjects_per_class,
-                             epochs_per_subject=args.epochs_per_subject)
         save_tensor(Tensor3(cohort.psd), workdir / "cohort_tensor.bin")
         _write_provenance(workdir / "cohort_provenance.csv", cohort.ids)
         _write_csv(

@@ -216,8 +216,8 @@ def _read_header(data: bytes) -> _Header:
 
 def _decode(data: bytes, h: _Header, signals: list[int]) -> tuple[np.ndarray, float, list[int]]:
     """Decode ``signals`` into the rows of one fresh float64 array at the
-    fastest rate of any non-annotation signal; return it, that rate and the
-    rows that were resampled to it.
+    fastest rate among them; return it, that rate and the rows that were
+    resampled to it.
 
     Each row is decoded in place: phys = (dig - dig_min) * scale + phys_min
     over the row, so there is no per-signal temporary unless the signal is
@@ -227,7 +227,7 @@ def _decode(data: bytes, h: _Header, signals: list[int]) -> tuple[np.ndarray, fl
     raw = np.frombuffer(data, dtype="<i2", offset=h.header_bytes, count=h.n_records * per_record)
     raw = raw.reshape(h.n_records, per_record)
     offsets = np.concatenate([[0], np.cumsum(h.n_samples)])
-    target_rate = max(h.rate(i) for i in h.keep)
+    target_rate = max(h.rate(i) for i in signals)
     target_len = int(round(h.n_records * h.record_duration * target_rate))
     out = np.empty((len(signals), target_len))
     resampled = []
@@ -275,10 +275,12 @@ def read_montage(data: bytes) -> tuple[np.ndarray, float, dict[str, float]]:
 
     Only the 19 montage signals are decoded, straight into the rows of one
     fresh, writable array that the caller owns, in ``CHANNELS`` order.  The
-    rows and the rate are those of ``select_channels(read_edf(data))``, bit
-    for bit: the rate is the fastest of every non-annotation signal, montage
-    or not, and a slower montage channel is interpolated onto it.  A missing
-    channel is ``select_channels``' IngestError.
+    rate is the fastest montage signal's, and a slower montage channel is
+    interpolated onto it; a faster non-montage signal, such as an ECG,
+    changes nothing.  So the rows and the rate are those of
+    ``select_channels(read_edf(data))``, bit for bit, unless a non-montage
+    signal is faster than every montage one.  A missing channel is
+    ``select_channels``' IngestError.
     """
     h = _read_header(data)
     signals = [h.keep[k] for k in _montage_rows([h.labels[i] for i in h.keep])]

@@ -746,6 +746,23 @@ class TestErrors:
         assert "error: " in err and flag in err
         assert not (wd / "manifest.csv").exists() and not (wd / "tensor.bin").exists()
 
+    @pytest.mark.parametrize("classes,problem", [
+        ("CN=1,AD=3", "class CN needs at least 2 subjects"),
+        ("CN=3,XX=3", "no weight parameters for class XX"),
+    ], ids=["one-subject", "unknown-class"])
+    def test_refused_cohort_leaves_work_dir_untouched(self, workdir, capsys, classes, problem):
+        wd, cfg = workdir
+        synth = ("synth", "--mode", "cohort", "--dims", "12", "19", "89", "--snr-db", "25")
+        assert run("--config", str(cfg), "--workdir", str(wd), *synth,
+                   "--subjects-per-class", "CN=3,AD=3") == 0
+        before = {p.name: p.read_bytes() for p in wd.iterdir()}
+        capsys.readouterr()
+        # another seed, so a tensor written before the refusal would differ
+        assert run("--config", str(cfg), "--workdir", str(wd), "--seed", "9", *synth,
+                   "--subjects-per-class", classes) == 1
+        assert problem in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in wd.iterdir()} == before
+
     @pytest.mark.parametrize("text,line", [
         ("subject_id,label\ns0,CN\ns1,XX\n", 3),
         ("subject_id,label\ns0,CN\ns1,\n", 3),

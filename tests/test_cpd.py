@@ -348,16 +348,20 @@ class TestHessianPieces:
     def test_gn_step_accurate_on_over_factored_fit(self, monkeypatch):
         # a rank-5 fit of a rank-3 tensor drifts to factor norms that differ
         # by orders of magnitude, where the 3r^2 system alone loses digits.
-        # The oracle is the dense solve refined with a long-double residual;
-        # steps whose plain dense solve misses it by more than 1e-10 are too
-        # ill-conditioned for any float64 solver to meet the bound, so skipped
+        # The oracle is the dense solve refined with a long-double residual.
+        # A step whose plain dense solve misses it by more than 1e-10 is too
+        # ill-conditioned for any float64 solver to meet the bound; there the
+        # step only has to stay within 10x of the dense solve's error.  Which
+        # steps those are depends on the BLAS thread count, so two fits (from
+        # two seeds) supply the steps that are checked
         from scipy.linalg import lu_factor, lu_solve
 
         cpd_module = importlib.import_module("eegfactor.cpd")
         real_step, seen = cpd_module._gn_step, []
         monkeypatch.setattr(cpd_module, "_gn_step", lambda *a: seen.append(a) or real_step(*a))
         t, _ = make_tensor(SynthSpec(dims=(20, 19, 89), rank=3, snr_db=20, seed=1))
-        cpd_gn(t, CpdOptions(rank=5, max_iters=30, n_starts=1, seed=0))
+        for seed in (0, 1):
+            cpd_gn(t, CpdOptions(rank=5, max_iters=30, n_starts=1, seed=seed))
         checked = 0
         for args in seen:
             A, B, C, _, _, _, gA, gB, gC, mu = args
@@ -370,10 +374,12 @@ class TestHessianPieces:
                 exact += lu_solve(lu, (rhs - H_long @ exact).astype(np.float64))
             exact = exact.astype(np.float64)
             scale = np.linalg.norm(exact)
-            if np.linalg.norm(dense - exact) > 1e-10 * scale:
+            step_error = np.linalg.norm(np.concatenate([d.ravel() for d in real_step(*args)]) - exact)
+            dense_error = np.linalg.norm(dense - exact)
+            if dense_error > 1e-10 * scale:
+                assert step_error <= 10 * dense_error
                 continue
-            step = np.concatenate([d.ravel() for d in real_step(*args)])
-            assert np.linalg.norm(step - exact) <= 1e-9 * scale
+            assert step_error <= 1e-9 * scale
             checked += 1
         assert checked >= 20
 

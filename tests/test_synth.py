@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eegfactor import (
     ArgumentError,
+    Recording,
     SynthSpec,
     build_basis,
     make_cohort,
@@ -12,6 +14,7 @@ from eegfactor import (
     make_tensor,
     project,
     relative_error,
+    write_edf,
 )
 from eegfactor import synth
 from eegfactor.preprocess import FREQ_GRID
@@ -146,3 +149,61 @@ class TestMakeRecording:
         r1 = make_recording(seed=9)
         r2 = make_recording(seed=9)
         np.testing.assert_array_equal(r1.samples, r2.samples)
+
+    # the benchmark's edf-cohort recording: alpha, theta and beta tones
+    TONES = ((10.0, 36.0), (6.0, 19.0), (20.0, 4.0))
+
+    @staticmethod
+    def direct(seed, sample_rate, duration, tones, noise_uv=2.0):
+        """Each tone as amp * sin(2 pi f t + phase) over every sample, plus
+        noise_uv * z, drawn from the recording's stream in the same order:
+        the phases tone by tone, then z."""
+        rng = synth._rng(seed, 3)
+        n = int(round(sample_rate * duration))
+        t = np.arange(n) / sample_rate
+        x = np.zeros((19, n))
+        for freq, amp in tones:
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=19)
+            x += amp * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
+        return x + noise_uv * rng.standard_normal(x.shape)
+
+    @pytest.mark.parametrize("rate", [256.0, 200.0])
+    def test_matches_the_direct_formula(self, rate):
+        rec = make_recording(seed=5, sample_rate=rate, duration=300.0, tones=self.TONES)
+        want = self.direct(5, rate, 300.0, self.TONES)
+        assert rec.samples.shape == want.shape == (19, int(300 * rate))
+        assert np.max(np.abs(rec.samples - want)) <= 1e-9
+
+    def test_no_tones_is_the_scaled_noise(self):
+        rec = make_recording(seed=6, duration=20.0, tones=(), noise_uv=3.0)
+        z = synth._rng(6, 3).standard_normal((19, 20 * 256))
+        np.testing.assert_array_equal(rec.samples, 3.0 * z)
+
+    def test_edf_within_one_digital_unit_of_the_direct_formula(self):
+        rec = make_recording(seed=7, duration=300.0, tones=self.TONES)
+        want = Recording(self.direct(7, 256.0, 300.0, self.TONES), 256.0, rec.channel_labels,
+                         rec.recording_id, rec.subject_id)
+        got, ref = write_edf(rec), write_edf(want)
+        head = 256 * (1 + 19)
+        assert len(got) == len(ref) and got[:head] == ref[:head]
+        dig = np.frombuffer(got, "<i2", offset=head).astype(np.int32)
+        ref_dig = np.frombuffer(ref, "<i2", offset=head).astype(np.int32)
+        assert np.max(np.abs(dig - ref_dig)) <= 1
+
+    def test_samples_are_read_only(self):
+        samples = make_recording(seed=8, duration=10.0).samples
+        assert not samples.flags.writeable and samples.flags.owndata
+        with pytest.raises(ValueError):
+            samples[0, 0] = 0.0
+
+    def test_peak_memory_below_two_recordings(self):
+        # the tones are added onto the noise block by block and the Recording
+        # keeps the array, so the peak is one recording plus the (6, n) basis
+        make_recording(seed=9, duration=1.0, tones=self.TONES)
+        tracemalloc.start()
+        try:
+            rec = make_recording(seed=9, duration=300.0, tones=self.TONES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * rec.samples.nbytes
