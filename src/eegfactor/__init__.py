@@ -14,15 +14,7 @@ from .tensor import (
     save_tensor,
 )
 from .edf import Recording, read_edf, read_edf_file, read_manifest, select_channels, write_edf
-from .preprocess import (
-    BANDS,
-    FREQ_GRID,
-    bandpass,
-    epoch_and_reject,
-    pib,
-    select_awake_epochs,
-    welch,
-)
+from .preprocess import bandpass, epoch_and_reject, pib, select_awake_epochs, welch
 from .cpd import CpdOptions, cpd_als, cpd_gn
 from .rank import diffit
 from .projection import build_basis, project

@@ -1,8 +1,13 @@
 """Pipeline orchestration: composable subcommands over a shared work dir.
 
-Stages read declared inputs and write declared outputs only; every JSON
-artifact carries version, config_hash, and seed, and each stage persists its
-fully-resolved config as <stage>.config.json (the stamp for CSV artifacts).
+A stage refuses to start when a work-dir file it needs is missing, and names
+the stage that writes it; ``STAGES`` declares those inputs, and the config
+section whose seed stamps each stage's record. Every stage but report
+persists its fully-resolved config as <stage>.config.json, stamped with
+version, config_hash and seed: the classify seed for classify, the cpd seed
+for the others. The JSON reports (rank_report, decompose_meta, cv_report,
+report) carry the same stamp; the factor files (factors.json,
+truth_factors.json) and the CSVs are stamped only by their stage's record.
 Reruns with identical config and inputs are byte-identical.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
@@ -300,12 +305,6 @@ def workdir_lock(workdir: Path):
         os.close(fd)
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.is_file():
-        raise IngestError(f"missing {path.name}; run `{producer}` first")
-    return path
-
-
 def _flag_file(value, flag: str) -> Path:
     """The input file a command-line flag names, which must exist."""
     path = Path(value)
@@ -447,19 +446,17 @@ def _preprocess_entries(entries, cfg):
     return Tensor3(np.stack(spectra)), ids
 
 
-def run_preprocess(cfg: dict, workdir: Path, manifest_path: Path) -> int:
-    entries = read_manifest(_flag_file(manifest_path, "--manifest"))
+def run_preprocess(cfg: dict, workdir: Path, args):
+    entries = read_manifest(_flag_file(args.manifest or cfg["paths"]["manifest"], "--manifest"))
     t, ids = _preprocess_entries(entries, cfg)
     save_tensor(t, workdir / "tensor.bin")
     _write_provenance(workdir / "provenance.csv", ids)
     _write_features(workdir / "pib.csv", ids, PIB_NAMES, pib(t.data))
-    _write_stage_config(workdir, "preprocess", cfg, cfg["cpd"]["seed"])
     print(f"preprocess: {t.dims[0]} epochs from {len(entries)} recordings -> tensor {t.dims}")
-    return 0
 
 
-def run_diffit(cfg: dict, workdir: Path) -> int:
-    tensor_path = _require(workdir / "tensor.bin", "preprocess")
+def run_diffit(cfg: dict, workdir: Path, args):
+    tensor_path = workdir / "tensor.bin"
     t = load_tensor(tensor_path)
     seed = cfg["cpd"]["seed"]
     opts = cpd_options(cfg, rank=1)
@@ -485,9 +482,7 @@ def run_diffit(cfg: dict, workdir: Path) -> int:
         ["rank", "count"],
         [(r, report.histogram[r]) for r in sorted(report.histogram)],
     )
-    _write_stage_config(workdir, "diffit", cfg, seed)
     print(f"diffit: modal rank {report.modal_rank} over {report.n_runs} runs")
-    return 0
 
 
 def _resolve_rank(cfg: dict, workdir: Path, flag_rank) -> int:
@@ -507,9 +502,9 @@ def _resolve_rank(cfg: dict, workdir: Path, flag_rank) -> int:
     return int(cfg["cpd"]["rank"])
 
 
-def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
-    t = load_tensor(_require(workdir / "tensor.bin", "preprocess"))
-    rank = _resolve_rank(cfg, workdir, flag_rank)
+def run_decompose(cfg: dict, workdir: Path, args):
+    t = load_tensor(workdir / "tensor.bin")
+    rank = _resolve_rank(cfg, workdir, args.rank)
     opts = cpd_options(cfg, rank=rank)
     solver = cfg["cpd"]["solver"]
     result = (cpd_gn if solver == "GN" else cpd_als)(t, opts)
@@ -550,22 +545,20 @@ def run_decompose(cfg: dict, workdir: Path, flag_rank=None) -> int:
         ["channel", "x", "y"],
         [(ch, ELECTRODE_COORDS[ch][0], ELECTRODE_COORDS[ch][1]) for ch in CHANNELS],
     )
-    _write_stage_config(workdir, "decompose", cfg, opts.seed)
     print(
         f"decompose: rank {rank} {solver} fit={result.fit:.6f} "
         f"rel_error={result.rel_error:.3e} ({result.iterations} iters)"
     )
-    return 0
 
 
-def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, provenance_path=None) -> int:
-    factors = load_factors(_require(workdir / "factors.json", "decompose"))
+def run_project(cfg: dict, workdir: Path, args):
+    factors = load_factors(workdir / "factors.json")
     basis = build_basis(factors)
-    if tensor_path is not None:
-        if provenance_path is None:
+    if args.tensor is not None:
+        if args.provenance is None:
             raise ConfigError("--tensor requires --provenance")
-        t = load_tensor(_flag_file(tensor_path, "--tensor"))
-        ids = _read_provenance(_flag_file(provenance_path, "--provenance"))
+        t = load_tensor(_flag_file(args.tensor, "--tensor"))
+        ids = _read_provenance(_flag_file(args.provenance, "--provenance"))
         if t.dims[0] != len(ids):
             raise IngestError(
                 f"provenance lists {len(ids)} epochs but tensor holds {t.dims[0]}"
@@ -577,8 +570,8 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
             e = int(bad[0])
             raise IngestError(f"tensor row {e} ({ids[e][1]}, epoch {ids[e][2]}): "
                               f"{INVALID_SPECTRUM}")
-    elif manifest is not None:
-        entries = read_manifest(_flag_file(manifest, "--manifest"))
+    elif args.manifest is not None:
+        entries = read_manifest(_flag_file(args.manifest, "--manifest"))
         t, ids = _preprocess_entries(entries, cfg)
     else:
         raise ConfigError("project needs --manifest or --tensor/--provenance")
@@ -590,9 +583,7 @@ def run_project(cfg: dict, workdir: Path, manifest=None, tensor_path=None, prove
     _write_features(workdir / "weights.csv", ids, [f"w{i + 1}" for i in range(rank)],
                     project(basis, t.data))
     _write_features(workdir / "validation_pib.csv", ids, PIB_NAMES, pib(t.data))
-    _write_stage_config(workdir, "project", cfg, cfg["cpd"]["seed"])
     print(f"project: {len(ids)} epochs onto a rank-{rank} basis (rank_used={basis.rank_used})")
-    return 0
 
 
 def _classify_feature_set(name, path, labels, cfg) -> list:
@@ -616,12 +607,12 @@ def _classify_feature_set(name, path, labels, cfg) -> list:
     ]
 
 
-def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
+def run_classify(cfg: dict, workdir: Path, args):
     weights_path = workdir / "weights.csv"
     pib_path = workdir / "validation_pib.csv"
     if not weights_path.is_file() and not pib_path.is_file():
         raise IngestError("missing weights.csv; run `project` first")
-    labels_file = _flag_file(labels_path, "--labels") if labels_path else workdir / "labels.csv"
+    labels_file = _flag_file(args.labels, "--labels") if args.labels else workdir / "labels.csv"
     if not labels_file.is_file():
         raise IngestError(f"missing labels CSV {labels_file.name}; provide --labels")
     labels = _read_labels(labels_file)
@@ -639,14 +630,12 @@ def run_classify(cfg: dict, workdir: Path, labels_path=None) -> int:
         ["feature", "classifier", "task", "mean_auc", "std_auc"],
         [(f, r.model, r.task, r.mean_auc, r.std_auc) for f, r in reports],
     )
-    _write_stage_config(workdir, "classify", cfg, cfg["classify"]["seed"])
     for f, r in reports:
         print(f"classify: {f}-{r.model} {r.task} AUC {r.mean_auc:.3f} +/- {r.std_auc:.3f}")
-    return 0
 
 
-def run_synth(cfg: dict, workdir: Path, args) -> int:
-    seed = args.seed if args.seed is not None else cfg["cpd"]["seed"]
+def run_synth(cfg: dict, workdir: Path, args):
+    seed = cfg["cpd"]["seed"]
     if args.mode == "edf":
         rows = []
         for i in range(args.n_recordings):
@@ -661,9 +650,8 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
                 fh.write(write_edf(rec))
             rows.append((name, f"S{i:03d}", ""))
         _write_csv(workdir / "manifest.csv", ["path", "subject_id", "label"], rows)
-        _write_stage_config(workdir, "synth", cfg, seed)
         print(f"synth: wrote {args.n_recordings} EDF recordings + manifest.csv")
-        return 0
+        return
 
     spec = SynthSpec(
         dims=tuple(args.dims),
@@ -696,8 +684,6 @@ def run_synth(cfg: dict, workdir: Path, args) -> int:
         )
     else:
         print(f"synth: population tensor {t.dims} (rank {spec.rank})")
-    _write_stage_config(workdir, "synth", cfg, seed)
-    return 0
 
 
 # per class, the (means, stds) of the Gaussian weights of the three
@@ -726,7 +712,7 @@ def _subjects_per_class(text: str) -> dict[str, int]:
     return out
 
 
-def run_report(cfg: dict, workdir: Path) -> int:
+def run_report(cfg: dict, workdir: Path, args):
     artifacts = {}
     for name in sorted(p.name for p in workdir.iterdir() if p.is_file()):
         if name in (".lock", "report.json"):
@@ -755,7 +741,21 @@ def run_report(cfg: dict, workdir: Path) -> int:
                              field="reports") from None
     write_json(workdir / "report.json", summary)
     print(f"report: {len(artifacts)} artifacts summarized")
-    return 0
+
+
+# Per stage: the work-dir files it must find, each with the stage that writes
+# it, and the config section whose seed stamps <stage>.config.json (None: the
+# stage writes no record). An input that a flag names, or one of a pair either
+# of which will do, is checked by the stage itself.
+STAGES = {
+    "preprocess": ({}, "cpd"),
+    "diffit": ({"tensor.bin": "preprocess"}, "cpd"),
+    "decompose": ({"tensor.bin": "preprocess"}, "cpd"),
+    "project": ({"factors.json": "decompose"}, "cpd"),
+    "classify": ({}, "classify"),
+    "synth": ({}, "cpd"),
+    "report": ({}, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -827,23 +827,16 @@ def main(argv=None) -> int:
             cfg["paths"]["workdir"] = args.workdir
         validate_config(cfg)
         workdir = Path(cfg["paths"]["workdir"])
+        inputs, seed_section = STAGES[args.command]
         with workdir_lock(workdir):
-            if args.command == "preprocess":
-                manifest = Path(args.manifest or cfg["paths"]["manifest"])
-                return run_preprocess(cfg, workdir, manifest)
-            if args.command == "diffit":
-                return run_diffit(cfg, workdir)
-            if args.command == "decompose":
-                return run_decompose(cfg, workdir, args.rank)
-            if args.command == "project":
-                return run_project(cfg, workdir, args.manifest, args.tensor, args.provenance)
-            if args.command == "classify":
-                return run_classify(cfg, workdir, args.labels)
-            if args.command == "synth":
-                return run_synth(cfg, workdir, args)
-            if args.command == "report":
-                return run_report(cfg, workdir)
-            raise ConfigError(f"unknown command {args.command!r}")
+            for name, producer in inputs.items():
+                if not (workdir / name).is_file():
+                    raise IngestError(f"missing {name}; run `{producer}` first")
+            # looked up by name when it runs, so a patched run_<stage> is the one called
+            globals()[f"run_{args.command}"](cfg, workdir, args)
+            if seed_section is not None:
+                _write_stage_config(workdir, args.command, cfg, cfg[seed_section]["seed"])
+        return 0
     except EegFactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import fcntl
 import hashlib
@@ -155,6 +156,100 @@ class TestPipeline:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"{name} differs between reruns"
+
+
+RECORD_CONFIG = """\
+cpd:
+  n_starts: 2
+  max_iters: 20
+  seed: 3
+diffit:
+  r_max: 3
+  n_runs: 1
+classify:
+  k_folds: 3
+  svm_epochs: 20
+  seed: 7
+"""
+
+
+def stage_seeds(wd):
+    """stage -> seed of each <stage>.config.json, each naming its own stage."""
+    seeds = {}
+    for path in wd.glob("*.config.json"):
+        doc = json.loads(path.read_text())
+        assert doc["stage"] == path.name.removesuffix(".config.json")
+        seeds[doc["stage"]] = doc["seed"]
+    return seeds
+
+
+class TestStageRecords:
+    @pytest.fixture()
+    def base(self, tmp_path):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(RECORD_CONFIG)
+        wd = tmp_path / "work"
+        return wd, ["--config", str(cfg), "--workdir", str(wd)]
+
+    def test_each_stage_records_its_sections_seed(self, base):
+        # classify is stamped with classify.seed, every other stage with
+        # cpd.seed, and report writes no record
+        wd, argv = base
+        flow = [
+            (["synth", "--mode", "cohort", "--dims", "12", "19", "89",
+              "--subjects-per-class", "CN=3,MCI=3,AD=3", "--epochs-per-subject", "2"],
+             "synth", 3),
+            (["diffit"], "diffit", 3),
+            (["decompose"], "decompose", 3),
+            (["project", "--tensor", str(wd / "cohort_tensor.bin"),
+              "--provenance", str(wd / "cohort_provenance.csv")], "project", 3),
+            (["classify"], "classify", 7),
+            (["report"], None, None),
+        ]
+        expected = {}
+        for stage_argv, stage, seed in flow:
+            assert run(*argv, *stage_argv) == 0, stage_argv
+            if stage is not None:
+                expected[stage] = seed
+            assert stage_seeds(wd) == expected
+
+    def test_edf_route_records_cpd_seed(self, base):
+        wd, argv = base
+        assert run(*argv, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "50") == 0
+        assert run(*argv, "preprocess", "--manifest", str(wd / "manifest.csv")) == 0
+        assert stage_seeds(wd) == {"synth": 3, "preprocess": 3}
+
+    @pytest.mark.parametrize("stage_argv,missing,producer", [
+        (["decompose"], "tensor.bin", "preprocess"),
+        (["project", "--tensor", "t.bin", "--provenance", "p.csv"], "factors.json", "decompose"),
+    ], ids=["decompose", "project"])
+    def test_stage_with_missing_input_writes_nothing(self, base, capsys, stage_argv, missing,
+                                                     producer):
+        wd, argv = base
+        assert run(*argv, *stage_argv) == 2
+        assert f"missing {missing}; run `{producer}` first" in capsys.readouterr().err
+        assert list(wd.iterdir()) == []
+
+    def test_refused_classify_keeps_the_earlier_record(self, base, capsys):
+        wd, argv = base
+        assert run(*argv, "synth", "--mode", "cohort", "--dims", "12", "19", "89",
+                   "--subjects-per-class", "CN=3,MCI=3,AD=3",
+                   "--epochs-per-subject", "2") == 0
+        (wd / "factors.json").write_bytes((wd / "truth_factors.json").read_bytes())
+        assert run(*argv, "project", "--tensor", str(wd / "cohort_tensor.bin"),
+                   "--provenance", str(wd / "cohort_provenance.csv")) == 0
+        assert run(*argv, "classify") == 0
+        before = {p.name: p.read_bytes() for p in wd.iterdir()}
+        # another seed would change the record if the refused stage wrote one
+        assert run(*argv, "--seed", "9", "classify", "--labels", str(wd / "nope.csv")) == 2
+        assert "--labels names no file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in wd.iterdir()} == before
+
+    def test_table_names_every_subcommand(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(cli.STAGES) == set(sub.choices)
 
 
 class TestEdfRoute:

@@ -33,6 +33,36 @@ def test_every_traced_name_resolves():
     assert tracer.PATCHES and missing == []
 
 
+def test_traced_flow_sees_every_stage(tmp_path):
+    # the tracer patches eegfactor.cli.run_<stage>: the CLI must look each
+    # stage up by that name when it runs it, or traced runs lose their
+    # cli.* spans while every patched name still resolves
+    cli = importlib.import_module("eegfactor.cli")
+    config = tmp_path / "config.yaml"
+    config.write_text("cpd:\n  max_iters: 10\ndiffit:\n  r_max: 3\n  n_runs: 1\n"
+                      "classify:\n  k_folds: 3\n  svm_epochs: 20\n")
+    cohort, edf = tmp_path / "cohort", tmp_path / "edf"
+    flow = [
+        (cohort, ["synth", "--mode", "cohort", "--dims", "12", "19", "89",
+                  "--subjects-per-class", "CN=3,MCI=3,AD=3", "--epochs-per-subject", "2"]),
+        (cohort, ["diffit"]),
+        (cohort, ["decompose"]),
+        (cohort, ["project", "--tensor", str(cohort / "cohort_tensor.bin"),
+                  "--provenance", str(cohort / "cohort_provenance.csv")]),
+        (cohort, ["classify"]),
+        (cohort, ["report"]),
+        (edf, ["synth", "--mode", "edf", "--n-recordings", "1"]),
+        (edf, ["preprocess", "--manifest", str(edf / "manifest.csv")]),
+    ]
+    with load_tracer().Tracer() as tr:
+        codes = [cli.main(["--config", str(config), "--workdir", str(wd), *argv])
+                 for wd, argv in flow]
+    assert codes == [0] * len(flow)
+    stages = sorted(name for name, *_ in tr.spans if name.startswith("cli."))
+    assert stages == sorted(f"cli.{stage}" for stage in (
+        "diffit", "decompose", "project", "classify", "report", "preprocess"))
+
+
 @pytest.mark.parametrize("solver,span", [("cpd_als", "cpd.als"), ("cpd_gn", "cpd.gn")])
 def test_solvers_reach_the_traced_mttkrp(solver, span):
     # the traced benchmark counts ALS sweeps and GN steps as the MTTKRP spans
