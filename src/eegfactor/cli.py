@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import copy
 import fcntl
 import hashlib
 import io
@@ -34,9 +33,9 @@ import yaml
 
 from . import __version__
 from .channels import CHANNELS, ELECTRODE_COORDS
-from .classify import CohortDataset, cross_validate, ready_tasks
+from .classify import VALID_LABELS, CohortDataset, cross_validate, ready_tasks
 from .cpd import CpdOptions, cpd_als, cpd_gn
-from .edf import VALID_LABELS, read_edf_file, read_manifest, read_montage, write_edf
+from .edf import read_edf_file, read_manifest, read_montage, write_edf
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -110,18 +109,8 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def load_config(path=None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
         if not Path(path).is_file():
             raise ConfigError(f"--config names no file: {path}")
@@ -144,8 +133,8 @@ def load_config(path=None) -> dict:
             bad = set(fields) - set(DEFAULT_CONFIG[section])
             if bad:
                 raise ConfigError(f"unknown fields in section {section!r}: {sorted(bad)}")
-        cfg = _deep_merge(cfg, user)
-    return cfg
+    # sections and fields are checked above, so two levels hold every value
+    return {s: {**DEFAULT_CONFIG[s], **user.get(s, {})} for s in DEFAULT_CONFIG}
 
 
 def _check_types(cfg: dict):

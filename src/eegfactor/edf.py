@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import CHANNELS
 from .errors import ArgumentError, IngestError, ParseError
-from .tensor import read_text
+from .tensor import frozen_array, read_text
 
 ANNOTATION_LABEL = "EDF Annotations"
 DIGITAL_MIN = -32768
@@ -44,17 +44,7 @@ class Recording:
     subject_id: str = ""
 
     def __post_init__(self):
-        arr = self.samples
-        # a read-only float64 array that owns its data cannot change under
-        # the recording, so read_edf hands its fresh array over without a
-        # second full-recording copy
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ArgumentError(f"samples must be 2-D, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise ArgumentError("samples must be finite")
+        arr = frozen_array(self.samples, 2, "samples")
         if self.sample_rate <= 0:
             raise ArgumentError(f"sample_rate must be positive, got {self.sample_rate}")
         labels = tuple(self.channel_labels)
@@ -62,7 +52,6 @@ class Recording:
             raise ArgumentError(
                 f"{len(labels)} labels for {arr.shape[0]} channels"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "channel_labels", labels)
 
@@ -436,25 +425,23 @@ def select_channels(r: Recording) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cohort manifest
 
-VALID_LABELS = ("CN", "MCI", "AD")
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     path: Path
     subject_id: str
-    label: str | None  # None for the unlabeled population set
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """Cohort manifest CSV with columns path,subject_id,label."""
+    """Cohort manifest CSV with columns path,subject_id; any other column,
+    such as the label column that ``synth`` writes, is ignored: labels come
+    only from the labels CSV that ``classify`` reads."""
     path = Path(path)
     entries = []
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    required = {"path", "subject_id", "label"}
+    required = {"path", "subject_id"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ParseError(
-            f"manifest must have columns path,subject_id,label, got {reader.fieldnames}",
+            f"manifest must have columns path,subject_id, got {reader.fieldnames}",
             field="header",
         )
     for row in reader:
@@ -464,14 +451,10 @@ def read_manifest(path) -> list[ManifestEntry]:
         for name in ("path", "subject_id"):
             if not row[name].strip():
                 raise ParseError(f"{where}: {name} is empty", field=name)
-        label = row["label"].strip() or None
-        if label is not None and label not in VALID_LABELS:
-            raise ParseError(f"{where}: label must be one of {VALID_LABELS} or empty, "
-                             f"got {label!r}", field="label")
         entry_path = Path(row["path"])
         if not entry_path.is_absolute():
             entry_path = path.parent / entry_path
-        entries.append(ManifestEntry(entry_path, row["subject_id"].strip(), label))
+        entries.append(ManifestEntry(entry_path, row["subject_id"].strip()))
     if not entries:
         raise ParseError("manifest contains no rows", field="body")
     return entries

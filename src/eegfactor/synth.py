@@ -227,7 +227,6 @@ def make_recording(
     samples *= noise_uv
     for start in range(0, n, _BLOCK):
         samples[:, start : start + _BLOCK] += coef @ basis[:, start : start + _BLOCK]
-    # owned and read-only: the Recording keeps this array without a copy
     samples.flags.writeable = False
     return Recording(
         samples=samples,

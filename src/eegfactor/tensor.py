@@ -25,6 +25,28 @@ from .errors import ArgumentError, ParseError
 _MODES = (0, 1, 2)
 
 
+def frozen_array(value, ndim: int, what: str) -> np.ndarray:
+    """``value`` as a read-only, C-contiguous float64 array of ``ndim`` dims
+    with finite entries: the one way a value type takes an array.
+
+    A read-only float64 array that owns its data cannot change under its
+    holder, so it is kept without a copy; a loader that makes its fresh
+    array read-only hands it over this way.  Anything else, a view or a
+    writable array included, is copied.  ``what`` names the array in the
+    ArgumentError of a wrong ``ndim`` or a non-finite entry.
+    """
+    arr = value
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
+        arr = np.array(arr, dtype=np.float64, order="C")
+    if arr.ndim != ndim:
+        raise ArgumentError(f"{what} must be {ndim}-D, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ArgumentError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Tensor3:
     """Immutable dense third-order tensor of float64 values."""
@@ -32,18 +54,7 @@ class Tensor3:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = self.data
-        # a read-only float64 array that owns its data cannot change under
-        # the tensor, so a loader hands its fresh array over without a copy
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=np.float64, order="C")
-        if arr.ndim != 3:
-            raise ArgumentError(f"Tensor3 requires a 3-D array, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise ArgumentError("Tensor3 entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", frozen_array(self.data, 3, "Tensor3 data"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -77,19 +88,13 @@ class FactorSet:
     def __post_init__(self):
         if self.rank < 1:
             raise ArgumentError(f"rank must be >= 1, got {self.rank}")
-        for name in ("A", "B", "C"):
-            m = np.array(getattr(self, name), dtype=np.float64, order="C")
-            if m.ndim != 2 or m.shape[1] != self.rank:
-                raise ArgumentError(
-                    f"factor {name} must be 2-D with {self.rank} columns, got shape {m.shape}"
-                )
-            m.flags.writeable = False
+        for name in ("A", "B", "C", "weights"):
+            m = frozen_array(getattr(self, name), 1 if name == "weights" else 2,
+                             f"factor {name}")
+            if m.shape[-1] != self.rank:
+                raise ArgumentError(f"factor {name} of shape {m.shape} does not match rank "
+                                    f"{self.rank}")
             object.__setattr__(self, name, m)
-        w = np.array(self.weights, dtype=np.float64, order="C")
-        if w.shape != (self.rank,):
-            raise ArgumentError(f"weights must have shape ({self.rank},), got {w.shape}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
     @property
     def dims(self) -> tuple[int, int, int]:

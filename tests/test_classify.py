@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
 
 from eegfactor import (
     ArgumentError,
@@ -16,7 +15,7 @@ from eegfactor import (
     svm_objective,
     svm_score,
 )
-from eegfactor.classify import TASKS, CVReport, SvmModel, _average_ranks
+from eegfactor.classify import TASKS, CVReport, SvmModel
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -203,16 +202,6 @@ class TestAuc:
                 continue
             scores = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)  # force ties
             assert auc(scores, labels) == auc_pairwise_oracle(scores, labels)
-
-    def test_average_ranks_match_scipy_rankdata(self):
-        rng = np.random.default_rng(23)
-        for _ in range(3000):
-            n = int(rng.integers(1, 80))
-            tied = rng.integers(0, int(rng.integers(1, 6)), n) * 0.25  # heavy ties
-            for x in (tied, rng.normal(size=n)):
-                ours, ref = _average_ranks(x), rankdata(x)
-                assert ours.dtype == ref.dtype
-                assert np.array_equal(ours, ref)
 
     def test_single_class_rejected(self):
         with pytest.raises(ArgumentError):

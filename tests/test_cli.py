@@ -1000,7 +1000,7 @@ class TestLoaderFuzz:
                 lines = [header, *rows[:i], mutant, *rows[i + 1:]]
                 path.write_text("\n".join(lines) + "\n")
                 if mutant == ",".join(fields[:2] + [""]):
-                    assert read_manifest(path)[i].label is None
+                    assert read_manifest(path)[i].subject_id == fields[1]
                     continue
                 with pytest.raises(ParseError, match=f"manifest.csv line {i + 2}: "):
                     read_manifest(path)

@@ -367,17 +367,13 @@ def _edf_two_rates(fast, slow):
 class TestManifest:
     def test_read_valid(self, tmp_path):
         p = tmp_path / "m.csv"
-        p.write_text("path,subject_id,label\na.edf,s1,CN\nb.edf,s2,\n")
+        # any column besides path and subject_id is ignored, a label one too
+        p.write_text("path,subject_id,label\na.edf,s1,SICK\nb.edf,s2,\n")
         entries = read_manifest(p)
-        assert entries[0].label == "CN"
-        assert entries[1].label is None
+        assert [e.subject_id for e in entries] == ["s1", "s2"]
         assert entries[0].path == tmp_path / "a.edf"
-
-    def test_bad_label(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("path,subject_id,label\na.edf,s1,SICK\n")
-        with pytest.raises(ParseError):
-            read_manifest(p)
+        p.write_text("subject_id,path\ns1,a.edf\n")
+        assert read_manifest(p)[0].path == tmp_path / "a.edf"
 
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "m.csv"

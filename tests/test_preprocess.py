@@ -395,7 +395,7 @@ class TestSelectAwakeEpochs:
         seconds = 300.0
         path = tmp_path / "rec.edf"
         path.write_bytes(write_edf(make_recording(seed=2, duration=seconds)))
-        entry, cfg = ManifestEntry(path, "s0", None), cli.load_config()
+        entry, cfg = ManifestEntry(path, "s0"), cli.load_config()
         cli._preprocess_recording(entry, cfg)  # first-call caches stay out of the peak
         tracemalloc.start()
         try:

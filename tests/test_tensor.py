@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from eegfactor import (
     ArgumentError,
+    CohortDataset,
     FactorSet,
     ParseError,
+    Recording,
     Tensor3,
     load_factors,
     load_tensor,
@@ -116,21 +118,56 @@ class TestTensor3:
                     assert flat[e * S * F + s * F + f] == t.data[e, s, f]
 
 
+def _factor_set(A):
+    r = A.shape[-1]
+    return FactorSet(r, A, np.ones((1, r)), np.ones((1, r)), np.ones(r))
+
+
+# every value type that holds an array: its ndim, and the array it keeps of x
+HOLDERS = {
+    "Tensor3": (3, lambda x: Tensor3(x).data),
+    "Recording": (2, lambda x: Recording(x, 256.0, ("Cz",) * len(x)).samples),
+    "FactorSet": (2, lambda x: _factor_set(x).A),
+    "CohortDataset": (2, lambda x: CohortDataset(x, ("s0",) * len(x), ("CN",) * len(x)).features),
+}
+
+
 class TestTensorOwnership:
+    """The one rule by which every value type in HOLDERS takes an array."""
+
+    @staticmethod
+    def sample(ndim, frozen=False):
+        x = np.arange(2.0**ndim).reshape((2,) * ndim).copy()
+        x.flags.writeable = not frozen
+        return x
+
     def test_caller_array_is_copied(self):
-        x = np.zeros((2, 3, 4))
-        t = Tensor3(x)
-        x[0, 0, 0] = 1.0
-        assert t.data[0, 0, 0] == 0.0
-        assert x.flags.writeable and not t.data.flags.writeable
+        for name, (ndim, keep) in HOLDERS.items():
+            x = self.sample(ndim)
+            kept = keep(x)
+            x.flat[0] = 5.0
+            assert kept.flat[0] == 0.0, name
+            assert x.flags.writeable and not kept.flags.writeable, name
 
     def test_frozen_data_is_shared(self):
-        t = cube()
-        assert Tensor3(t.data).data is t.data
+        for name, (ndim, keep) in HOLDERS.items():
+            x = self.sample(ndim, frozen=True)
+            assert keep(x) is x, name
 
     def test_view_of_frozen_data_is_copied(self):
-        t = cube()
-        assert not np.shares_memory(Tensor3(t.data[:1]).data, t.data)
+        for name, (ndim, keep) in HOLDERS.items():
+            x = self.sample(ndim, frozen=True)
+            kept = keep(x[:1])
+            assert not np.shares_memory(kept, x) and not kept.flags.writeable, name
+
+    def test_wrong_ndim_and_nan_are_refused(self):
+        for name, (ndim, keep) in HOLDERS.items():
+            nan = self.sample(ndim)
+            nan.flat[-1] = np.nan
+            for bad in (self.sample(ndim + 1), self.sample(ndim - 1), nan):
+                with pytest.raises(ArgumentError):
+                    keep(bad)
+                    pytest.fail(f"{name} took an array of shape {bad.shape}")
 
     @staticmethod
     def traced_peak(fn):
