@@ -295,7 +295,8 @@ def workdir_lock(workdir: Path):
 
 
 def _flag_file(value, flag: str) -> Path:
-    """The input file a command-line flag names, which must exist."""
+    """The input file that ``flag``, a command-line flag or a config field,
+    names, which must exist."""
     path = Path(value)
     if not path.is_file():
         raise IngestError(f"{flag} names no file: {path}")
@@ -395,9 +396,10 @@ def _preprocess_recording(entry, cfg):
     pp = cfg["preprocess"]
     recording_id = entry.path.stem
     try:
-        # one buffer from decode to Welch: the reader decodes the montage into
-        # a fresh array, the band-pass writes over it, and the kept epochs are
-        # moved to its front and viewed there
+        # one buffer from the file to Welch: the reader decodes the file's
+        # records, a block at a time, into a fresh montage array, the
+        # band-pass writes over it, and the kept epochs are moved to its
+        # front and viewed there
         samples, fs, resampled = read_edf_file(entry.path, read_montage)
         if resampled:
             rates = ", ".join(f"{ch} ({rate:g} Hz)" for ch, rate in resampled.items())
@@ -436,7 +438,12 @@ def _preprocess_entries(entries, cfg):
 
 
 def run_preprocess(cfg: dict, workdir: Path, args):
-    entries = read_manifest(_flag_file(args.manifest or cfg["paths"]["manifest"], "--manifest"))
+    if args.manifest is not None:
+        manifest = _flag_file(args.manifest, "--manifest")
+    else:
+        # the config's manifest lives in the work dir, where `synth --mode edf` writes it
+        manifest = _flag_file(workdir / cfg["paths"]["manifest"], "paths.manifest")
+    entries = read_manifest(manifest)
     t, ids = _preprocess_entries(entries, cfg)
     save_tensor(t, workdir / "tensor.bin")
     _write_provenance(workdir / "provenance.csv", ids)

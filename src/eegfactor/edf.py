@@ -5,13 +5,15 @@ stored field-major, then data records of 16-bit little-endian two's-complement
 samples.  EDF+ annotation signals are dropped with a warning; discontinuous
 EDF+D files are rejected.
 
-Two readers share one header check and one decoder, which maps each signal's
-digital samples to physical units straight into its own row of a fresh
-float64 array: ``read_edf`` decodes every signal into a ``Recording``, and
-``read_montage`` only the 19 montage signals, in ``CHANNELS`` order, into an
-array that the caller owns and the signal chain overwrites.  Both find the
-montage by one label rule, ``_montage_rows``, which ``select_channels``
-applies to a ``Recording``.
+Two readers share one header check and one decoder, which reads the data
+records in blocks of about a mebibyte and maps each signal's digital samples
+to physical units straight into its own row of a fresh float64 array:
+``read_edf`` decodes every signal into a ``Recording``, and ``read_montage``
+only the 19 montage signals, in ``CHANNELS`` order, into an array that the
+caller owns and the signal chain overwrites.  Both take the bytes of an EDF
+or a binary file open on one; ``read_edf_file`` opens the file, so the
+file's bytes are never held whole.  Both find the montage by one label rule,
+``_montage_rows``, which ``select_channels`` applies to a ``Recording``.
 """
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ from .tensor import frozen_array, read_text
 ANNOTATION_LABEL = "EDF Annotations"
 DIGITAL_MIN = -32768
 DIGITAL_MAX = 32767
+# data bytes per block that the decoder reads: its one buffer of raw samples
+_READ_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,11 @@ class _Header:
         return self.n_samples[i] / self.record_duration
 
 
-def _read_header(data: bytes) -> _Header:
-    """Parse and check the header of an EDF byte stream; every malformed
-    field, or data records shorter than declared, is a ParseError."""
+def _read_header(fh) -> _Header:
+    """Read and check the header of the EDF stream ``fh``, which stands at
+    its start, and leave it at the first data record; every malformed field,
+    or data records shorter than declared, is a ParseError."""
+    data = fh.read(256)
     if len(data) < 256:
         raise ParseError("file truncated before fixed header", field="header", offset=len(data))
 
@@ -126,6 +132,7 @@ def _read_header(data: bytes) -> _Header:
         raise ParseError(f"number of signals must be positive, got {ns}", field="number_of_signals", offset=252)
 
     header_bytes = 256 + ns * 256
+    data += fh.read(header_bytes - 256)
     if len(data) < header_bytes:
         raise ParseError("file truncated inside signal headers", field="signal_headers", offset=len(data))
 
@@ -180,16 +187,19 @@ def _read_header(data: bytes) -> _Header:
             offset=244,
         )
 
+    # the stream's size, as the file system reports it for a file
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(header_bytes)
     record_bytes = 2 * sum(n_samples)
     if n_records < 0:
         # unknown record count: infer from the remaining byte count
-        n_records = (len(data) - header_bytes) // record_bytes
+        n_records = (size - header_bytes) // record_bytes
     needed = header_bytes + n_records * record_bytes
-    if len(data) < needed:
+    if size < needed:
         raise ParseError(
-            f"file holds {len(data)} bytes but {needed} are declared",
+            f"file holds {size} bytes but {needed} are declared",
             field="number_of_records",
-            offset=len(data),
+            offset=size,
         )
     if n_records == 0:
         raise ParseError("file contains no data records", field="number_of_records", offset=236)
@@ -203,48 +213,67 @@ def _read_header(data: bytes) -> _Header:
                    n_records, record_duration, header_bytes)
 
 
-def _decode(data: bytes, h: _Header, signals: list[int]) -> tuple[np.ndarray, float, list[int]]:
-    """Decode ``signals`` into the rows of one fresh float64 array at the
-    fastest rate among them; return it, that rate and the rows that were
-    resampled to it.
+def _decode(fh, h: _Header, signals: list[int]) -> tuple[np.ndarray, float, list[int]]:
+    """Decode ``signals`` from the data records of the stream ``fh`` into the
+    rows of one fresh float64 array at the fastest rate among them; return
+    it, that rate and the rows that were resampled to it.
 
-    Each row is decoded in place: phys = (dig - dig_min) * scale + phys_min
-    over the row, so there is no per-signal temporary unless the signal is
-    slower than the target and is linearly interpolated onto it.
+    The records are read in blocks of about ``_READ_BYTES`` into one reused
+    int16 buffer, and each block's columns of each signal are decoded in
+    place into that signal's row: phys = (dig - dig_min) * scale + phys_min.
+    So nothing file-sized is held, and a signal gets a temporary of its own
+    only when it is slower than the target; it is linearly interpolated onto
+    the target once every block is decoded.  A stream that ends before its
+    declared records, as a file that shrinks while it is read does, is a
+    ParseError.
     """
     per_record = sum(h.n_samples)
-    raw = np.frombuffer(data, dtype="<i2", offset=h.header_bytes, count=h.n_records * per_record)
-    raw = raw.reshape(h.n_records, per_record)
     offsets = np.concatenate([[0], np.cumsum(h.n_samples)])
     target_rate = max(h.rate(i) for i in signals)
     target_len = int(round(h.n_records * h.record_duration * target_rate))
     out = np.empty((len(signals), target_len))
-    resampled = []
-    for row, i in enumerate(signals):
-        dig = raw[:, offsets[i] : offsets[i + 1]]
-        at_rate = dig.size == target_len
-        phys = out[row].reshape(dig.shape) if at_rate else np.empty(dig.shape)
-        np.subtract(dig, h.dig_min[i], out=phys, dtype=np.float64)
-        phys *= h.scales[i]
-        phys += h.phys_min[i]
-        if not at_rate:
-            resampled.append(row)
-            t_old = np.arange(dig.size) / h.rate(i)
-            t_new = np.arange(target_len) / target_rate
-            out[row] = np.interp(t_new, t_old, phys.reshape(-1))
+    resampled = [row for row, i in enumerate(signals) if h.n_records * h.n_samples[i] != target_len]
+    dest = [np.empty((h.n_records, h.n_samples[i])) if row in resampled
+            else out[row].reshape(h.n_records, h.n_samples[i]) for row, i in enumerate(signals)]
+    block = np.empty((min(h.n_records, max(1, _READ_BYTES // (2 * per_record))), per_record),
+                     dtype="<i2")
+    for start in range(0, h.n_records, len(block)):
+        raw = block[: h.n_records - start]
+        got = fh.readinto(raw)
+        if got != raw.nbytes:
+            raise ParseError("file changed while it was read", field="number_of_records",
+                             offset=h.header_bytes + 2 * per_record * start + got)
+        for row, i in zip(dest, signals):
+            phys = row[start : start + len(raw)]
+            np.subtract(raw[:, offsets[i] : offsets[i + 1]], h.dig_min[i], out=phys,
+                        dtype=np.float64)
+            phys *= h.scales[i]
+            phys += h.phys_min[i]
+    for row in resampled:
+        t_old = np.arange(dest[row].size) / h.rate(signals[row])
+        t_new = np.arange(target_len) / target_rate
+        out[row] = np.interp(t_new, t_old, dest[row].reshape(-1))
     return out, target_rate, resampled
 
 
-def read_edf(data: bytes) -> Recording:
-    """Parse an EDF byte stream into physical-unit signals.
+def _stream(data):
+    """``data`` as a binary stream: an open binary file as it is, bytes as
+    an ``io.BytesIO`` over them."""
+    return data if hasattr(data, "readinto") else io.BytesIO(data)
+
+
+def read_edf(data) -> Recording:
+    """Parse an EDF, given as bytes or as a binary file open at its start,
+    into physical-unit signals.
 
     Digital samples are mapped to physical units with the per-channel linear
     map phys = (dig - dig_min) * (phys_max - phys_min) / (dig_max - dig_min)
     + phys_min.  Channels with differing rates are resampled to the fastest
     channel rate by linear interpolation, and the recording id says so.
     """
-    h = _read_header(data)
-    signals, rate, resampled = _decode(data, h, h.keep)
+    fh = _stream(data)
+    h = _read_header(fh)
+    signals, rate, resampled = _decode(fh, h, h.keep)
     recording_id = h.recording_field
     if resampled:
         recording_id = (recording_id + " [resampled]").strip()
@@ -258,9 +287,10 @@ def read_edf(data: bytes) -> Recording:
     )
 
 
-def read_montage(data: bytes) -> tuple[np.ndarray, float, dict[str, float]]:
-    """The (19, n) montage of an EDF byte stream, its sample rate and the
-    montage channels that were resampled, each with its own rate.
+def read_montage(data) -> tuple[np.ndarray, float, dict[str, float]]:
+    """The (19, n) montage of an EDF, given as bytes or as a binary file open
+    at its start, its sample rate and the montage channels that were
+    resampled, each with its own rate.
 
     Only the 19 montage signals are decoded, straight into the rows of one
     fresh, writable array that the caller owns, in ``CHANNELS`` order.  The
@@ -271,17 +301,20 @@ def read_montage(data: bytes) -> tuple[np.ndarray, float, dict[str, float]]:
     signal is faster than every montage one.  A missing channel is
     ``select_channels``' IngestError.
     """
-    h = _read_header(data)
+    fh = _stream(data)
+    h = _read_header(fh)
     signals = [h.keep[k] for k in _montage_rows([h.labels[i] for i in h.keep])]
-    samples, rate, resampled = _decode(data, h, signals)
+    samples, rate, resampled = _decode(fh, h, signals)
     return samples, rate, {CHANNELS[row]: h.rate(signals[row]) for row in resampled}
 
 
 def read_edf_file(path, parse=read_edf):
-    """``parse`` of the bytes of the file at ``path``: by default its
-    Recording, or with ``read_montage`` its montage.  An unreadable file
-    raises the OSError of reading it."""
-    return parse(Path(path).read_bytes())
+    """``parse`` of the EDF file at ``path``: by default its Recording, or
+    with ``read_montage`` its montage.  The file is read in blocks of data
+    records, decoded as they arrive, so its bytes are never held whole.  An
+    unreadable file raises the OSError of opening or reading it."""
+    with open(path, "rb") as fh:
+        return parse(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ arrays carry no names, so IngestErrors read as predicates ("holds fewer
 than 2 epochs"); the caller prefixes the recording.  Power-in-bands (PIB)
 features live here too; ``pib`` takes one (19, 89) spectrum or a stack.
 
-A caller that owns its montage can run the chain in that one buffer:
+A caller that owns its montage can run the chain in that one buffer, from
+the file on: ``edf.read_edf_file(path, edf.read_montage)`` decodes the
+file's data records into it a block at a time,
 ``bandpass(..., overwrite=True)`` filters it in place, and
-``epoch_and_reject(..., overwrite=True)`` moves the kept epochs to its front
-and returns a read-only view of them; without ``overwrite`` both work on a
-copy, to the same bits.  ``welch`` takes such strided views and transforms
-them in blocks of rows.
+``epoch_and_reject(..., overwrite=True)`` sums the Cz power one epoch at a
+time, moves the kept epochs to its front and returns a read-only view of
+them; without ``overwrite`` both work on a copy, to the same bits.
+``welch`` takes such strided views and transforms them in blocks of rows.
 
 The signal kernels are numpy alone, and no stage imports ``scipy.signal``
 (its import cost each fresh stage interpreter about a second and 70 MB).
@@ -99,8 +101,13 @@ INVALID_SPECTRUM = "psd must be finite and nonnegative"
 
 def invalid_spectra(psd: np.ndarray) -> np.ndarray:
     """True for each (S, F) spectrum of a (..., S, F) array that holds a
-    negative or non-finite value."""
-    return ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
+    negative or non-finite value.
+
+    A spectrum's minimum is NaN if it holds a NaN, and negative if it holds
+    a negative value or -inf; its maximum is inf if it holds inf.  So two
+    reductions decide it, and no mask the size of ``psd`` is made."""
+    axes = (-2, -1)
+    return ~((np.min(psd, axis=axes) >= 0) & (np.max(psd, axis=axes) < np.inf))
 
 
 def _odd_extension(order: int) -> int:
@@ -337,7 +344,8 @@ def epoch_and_reject(
     n_per, n_epochs = _whole_epochs(samples.shape[1], sample_rate, epoch_seconds)
     buffer = samples if overwrite else samples[:, : n_epochs * n_per].copy()
     segments = buffer[:, : n_epochs * n_per].reshape(len(CHANNELS), n_epochs, n_per)
-    power = np.sum(segments[CZ_INDEX] ** 2, axis=1)
+    # one epoch at a time, so no temporary is as long as the Cz row
+    power = np.array([np.sum(epoch**2) for epoch in segments[CZ_INDEX]])
     kept = np.flatnonzero(~(power > power.mean() + sigma * power.std()))
     # each kept epoch moves to a slot at or before its own, so no kept epoch
     # is overwritten before it moves

@@ -41,7 +41,9 @@ def frozen_array(value, ndim: int, what: str) -> np.ndarray:
         arr = np.array(arr, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ArgumentError(f"{what} must be {ndim}-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    # the minimum is NaN or -inf, or the maximum inf, exactly when an entry
+    # is not finite: two reductions, and no mask the size of the array
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ArgumentError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr

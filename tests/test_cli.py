@@ -486,6 +486,26 @@ class TestEdfRoute:
         got = load_tensor(wd / "tensor.bin").data
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
 
+    def test_default_manifest_is_the_work_dirs(self, workdir, tmp_path, monkeypatch, capsys):
+        # `synth --mode edf` writes manifest.csv into the work dir, and the
+        # config's relative paths.manifest is read from there, whatever the
+        # working directory; a --manifest flag stays relative to it
+        wd, cfg = workdir
+        base = ["--config", str(cfg), "--workdir", str(wd)]
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run(*base, "synth", "--mode", "edf", "--n-recordings", "2",
+                   "--duration", "30") == 0
+        assert run(*base, "preprocess") == 0
+        tensor = (wd / "tensor.bin").read_bytes()
+        assert run(*base, "preprocess", "--manifest", "../work/manifest.csv") == 0
+        assert (wd / "tensor.bin").read_bytes() == tensor
+        (wd / "manifest.csv").unlink()
+        capsys.readouterr()
+        assert run(*base, "preprocess") == 2
+        assert f"paths.manifest names no file: {wd / 'manifest.csv'}" in capsys.readouterr().err
+
     def test_project_via_manifest(self, workdir):
         wd, cfg = workdir
         base = ["--config", str(cfg), "--workdir", str(wd)]

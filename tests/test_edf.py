@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from eegfactor import (
     select_channels,
     write_edf,
 )
+from eegfactor import edf
 from eegfactor.channels import CHANNELS
-from eegfactor.edf import read_montage
+from eegfactor.edf import read_edf_file, read_montage
 
 from conftest import edf_bytes
 
@@ -313,6 +315,104 @@ class TestReadMontage:
         blob = write_edf(Recording(rec.samples[:17], rec.sample_rate, rec.channel_labels[:17]))
         with pytest.raises(ParseError, match="declared"):
             read_montage(blob[:-2])
+
+
+def _unknown_record_count(blob):
+    """``blob`` with number_of_records = -1, which the reader infers."""
+    blob = bytearray(blob)
+    blob[236:244] = b"-1      "
+    return bytes(blob)
+
+
+# every EDF shape the suite builds: a slower montage channel, a faster ECG,
+# an annotation signal and an unknown record count among them
+FILE_CASES = ["shuffled", "ekg", "annotation", "mixed_rate", "faster_ekg", "unknown_count"]
+
+
+def _file_case(name):
+    if name == "unknown_count":
+        return _unknown_record_count(_montage_case("mixed_rate")[0])
+    return _montage_case(name)[0]
+
+
+def _record_bytes(blob):
+    """The bytes of one data record of an EDF whose header declares them."""
+    ns = int(blob[252:256].decode())
+    first = 256 + ns * (16 + 80 + 8 + 8 + 8 + 8 + 8 + 80)  # samples_per_record[0]
+    return 2 * sum(int(blob[off : off + 8]) for off in range(first, first + 8 * ns, 8))
+
+
+def _same_bits(a, b):
+    if isinstance(a, Recording):
+        return (a.samples.tobytes() == b.samples.tobytes() and a.samples.shape == b.samples.shape
+                and (a.sample_rate, a.channel_labels, a.recording_id, a.subject_id)
+                == (b.sample_rate, b.channel_labels, b.recording_id, b.subject_id))
+    (x, rate, resampled), (y, rate_b, resampled_b) = a, b
+    return (x.tobytes() == y.tobytes() and x.shape == y.shape
+            and (rate, resampled) == (rate_b, resampled_b))
+
+
+class TestReadFile:
+    """``read_edf_file`` decodes the file in blocks of data records, and the
+    bytes readers run the same decoder over the bytes: both give the same
+    bits, whatever the block size."""
+
+    @pytest.mark.parametrize("block", ["default", "3 records", "1 record"])
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_file_equals_bytes_bit_for_bit(self, tmp_path, monkeypatch, case, block):
+        blob = _file_case(case)
+        path = tmp_path / "rec.edf"
+        path.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = [read_edf(blob), read_montage(blob)]
+            if block != "default":
+                # 20 records: 3 per block leaves a last block of 2
+                monkeypatch.setattr(edf, "_READ_BYTES", _record_bytes(blob) * int(block[0]))
+            got = [read_edf_file(path), read_edf_file(path, read_montage)]
+            got_bytes = [read_edf(blob), read_montage(blob)]
+        assert all(map(_same_bits, want, got)) and all(map(_same_bits, want, got_bytes))
+        assert got[1][0].flags.writeable and got[1][0].flags.owndata
+
+    @pytest.mark.parametrize("cut", ["fixed header", "signal headers", "data start",
+                                     "inside a record"])
+    def test_truncated_file_is_the_bytes_error(self, tmp_path, cut):
+        blob = _file_case("ekg")
+        header_bytes = 256 * (1 + int(blob[252:256].decode()))
+        end = {"fixed header": 100, "signal headers": 300, "data start": header_bytes,
+               "inside a record": header_bytes + 1001}[cut]
+        path = tmp_path / "cut.edf"
+        path.write_bytes(blob[:end])
+        for parse in (read_edf, read_montage):
+            with pytest.raises(ParseError) as from_bytes:
+                parse(blob[:end])
+            with pytest.raises(ParseError) as from_file:
+                read_edf_file(path, parse)
+            assert (str(from_file.value), from_file.value.field, from_file.value.offset) == \
+                (str(from_bytes.value), from_bytes.value.field, from_bytes.value.offset)
+            assert from_file.value.offset == min(end, len(blob))
+
+    @pytest.mark.parametrize("parse", [read_edf, read_montage])
+    def test_file_that_shrinks_while_read_is_a_parse_error(self, tmp_path, monkeypatch, parse):
+        # the size check passes, then the file loses its last records before
+        # the blocks that hold them are read
+        blob = _file_case("shuffled")
+        path = tmp_path / "rec.edf"
+        path.write_bytes(blob)
+        header_bytes = 256 * 20
+        monkeypatch.setattr(edf, "_READ_BYTES", 4 * _record_bytes(blob))
+        check = edf._read_header
+
+        def check_then_shrink(fh):
+            h = check(fh)
+            os.truncate(path, header_bytes + 10 * _record_bytes(blob) + 6)
+            return h
+
+        monkeypatch.setattr(edf, "_read_header", check_then_shrink)
+        with pytest.raises(ParseError, match="changed while it was read") as exc:
+            read_edf_file(path, parse)
+        assert exc.value.field == "number_of_records"
+        assert exc.value.offset == header_bytes + 10 * _record_bytes(blob) + 6
 
 
 class TestMixedRates:

@@ -28,6 +28,7 @@ from eegfactor.preprocess import (
     _butter_bandpass,
     _odd_extension,
     check_recording,
+    invalid_spectra,
 )
 
 FS = 256.0
@@ -296,6 +297,20 @@ class TestEpochAndReject:
             kept, _ = epoch_and_reject(bandpass(rec.samples, FS), FS)
             assert len(kept) >= 0.6 * 8
 
+    @pytest.mark.parametrize("fs", [100.0, 256.0, 500.0])
+    def test_kept_epochs_match_the_whole_row_power(self, fs):
+        # Cz power is summed one epoch at a time; each sum has the bits of the
+        # row-wise sum over the (epochs, samples) block
+        rng = np.random.default_rng(int(fs))
+        x = rng.standard_normal((19, int(300 * fs)))
+        n_per = int(10 * fs)
+        x[CZ_INDEX, 7 * n_per : 8 * n_per] *= 3.0  # a burst in epoch 7
+        power = np.sum(x[CZ_INDEX].reshape(-1, n_per) ** 2, axis=1)
+        want = np.flatnonzero(~(power > power.mean() + 2.0 * power.std()))
+        epochs, kept = epoch_and_reject(x, fs)
+        assert 7 not in kept and np.array_equal(kept, want)
+        assert np.array_equal(epochs, x.reshape(19, -1, n_per)[:, want].transpose(1, 0, 2))
+
     def test_provenance_indices(self):
         rec = make_recording(seed=2, duration=40.0)
         kept, indices = epoch_and_reject(rec.samples, FS)
@@ -386,13 +401,12 @@ class TestSelectAwakeEpochs:
 
         assert np.array_equal(select_awake_epochs(epochs, FS), oracle(epochs))
 
-    def test_recording_peak_within_one_buffer(self, tmp_path):
-        # the chain holds one recording-sized float64 buffer from decode to
-        # Welch: the montage is decoded into it, band-passed over it and cut
-        # into views of it, so the live peak stays near one montage
+    @staticmethod
+    def recording_peak(tmp_path, seconds):
+        """The ``tracemalloc`` peak of preprocessing one ``seconds``-long
+        recording, in montages: 19 float64 rows of the recording's length."""
         import tracemalloc
 
-        seconds = 300.0
         path = tmp_path / "rec.edf"
         path.write_bytes(write_edf(make_recording(seed=2, duration=seconds)))
         entry, cfg = ManifestEntry(path, "s0"), cli.load_config()
@@ -403,8 +417,21 @@ class TestSelectAwakeEpochs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        montage = len(CHANNELS) * int(seconds * FS) * 8
-        assert spectra and peak <= 1.4 * montage
+        assert spectra
+        return peak / (len(CHANNELS) * int(seconds * FS) * 8)
+
+    def test_recording_peak_within_one_buffer(self, tmp_path):
+        # the chain holds one recording-sized float64 buffer from the file to
+        # Welch: the montage is decoded into it block by block, band-passed
+        # over it and cut into views of it, so the live peak stays near one
+        # montage
+        assert self.recording_peak(tmp_path, 300.0) <= 1.4
+
+    def test_clinical_length_peak_is_one_montage(self, tmp_path):
+        # at 30 min the band-pass chunks, the decoder's block of records and
+        # the per-epoch Cz sums are small beside the montage, so nothing
+        # recording-sized but the montage itself is live
+        assert self.recording_peak(tmp_path, 1800.0) <= 1.05
 
 
 def tone_epoch(freq, amp=1.0, fs=FS):
@@ -475,6 +502,19 @@ class TestWelch:
         e2 = [welch(e, FS) for e in epoch_and_reject(bandpass(rec.samples, FS), FS)[0]]
         for a, b in zip(e1, e2):
             np.testing.assert_array_equal(a, b)
+
+
+class TestInvalidSpectra:
+    def test_matches_the_mask_oracle(self):
+        rng = np.random.default_rng(6)
+        psd = rng.random((40, 19, 89))
+        for row, value in enumerate([np.nan, np.inf, -np.inf, -1e-300, -0.0, 0.0]):
+            psd[3 * row, row, 7 * row] = value
+        psd[30] = np.nan
+        want = ~np.all(np.isfinite(psd) & (psd >= 0), axis=(-2, -1))
+        assert np.array_equal(invalid_spectra(psd), want)
+        assert np.flatnonzero(want).tolist() == [0, 3, 6, 9, 30]
+        assert np.array_equal(invalid_spectra(psd[5]), want[5])
 
 
 class TestPib:

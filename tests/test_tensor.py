@@ -20,6 +20,7 @@ from eegfactor import (
     save_factors,
     save_tensor,
 )
+from eegfactor.preprocess import invalid_spectra
 from eegfactor.tensor import partial_product
 
 _MODES = (0, 1, 2)
@@ -162,9 +163,11 @@ class TestTensorOwnership:
 
     def test_wrong_ndim_and_nan_are_refused(self):
         for name, (ndim, keep) in HOLDERS.items():
-            nan = self.sample(ndim)
-            nan.flat[-1] = np.nan
-            for bad in (self.sample(ndim + 1), self.sample(ndim - 1), nan):
+            non_finite = []
+            for position, value in ((-1, np.nan), (0, np.inf), (-1, -np.inf)):
+                non_finite.append(self.sample(ndim))
+                non_finite[-1].flat[position] = value
+            for bad in (self.sample(ndim + 1), self.sample(ndim - 1), *non_finite):
                 with pytest.raises(ArgumentError):
                     keep(bad)
                     pytest.fail(f"{name} took an array of shape {bad.shape}")
@@ -184,8 +187,19 @@ class TestTensorOwnership:
         back = []
         peak = self.traced_peak(lambda: back.append(load_tensor(tmp_path / "t.bin")))
         assert back[0].data.flags.owndata and not back[0].data.flags.writeable
-        # the data itself plus the finiteness mask; not the raw bytes as well
-        assert peak < 1.5 * t.data.nbytes
+        # the data itself; not the raw bytes, nor a finiteness mask, as well
+        assert peak < 1.05 * t.data.nbytes
+
+    def test_finiteness_checks_make_no_mask(self, tmp_path):
+        # the value types' finiteness check and project's spectrum check
+        # reduce the loaded tensor without a mask of its size
+        save_tensor(Tensor3(np.random.default_rng(5).random((200, 19, 89))), tmp_path / "t.bin")
+        t = load_tensor(tmp_path / "t.bin")
+        assert self.traced_peak(lambda: Tensor3(t.data)) < 0.02 * t.data.nbytes
+        bad = []
+        assert self.traced_peak(lambda: bad.append(invalid_spectra(t.data))) \
+            < 0.02 * t.data.nbytes
+        assert bad[0].shape == (200,) and not bad[0].any()
 
     def test_relative_error_holds_one_temporary(self):
         rng = np.random.default_rng(4)
