@@ -353,11 +353,14 @@ def _read_labels(path: Path) -> dict[str, str]:
 
 def _write_features(path: Path, ids, names, feats: np.ndarray):
     """One row per epoch: the (subject_id, recording_id, epoch_index) ids,
-    then that epoch's row of ``feats``."""
+    then that epoch's row of ``feats``.
+
+    The rows are made one at a time as they are written, so the writer holds
+    one row of Python floats, not a list of them per epoch."""
     _write_csv(
         path,
         ID_COLUMNS + list(names),
-        [list(i) + row for i, row in zip(ids, feats.tolist())],
+        ((*i, *row.tolist()) for i, row in zip(ids, feats)),
     )
 
 

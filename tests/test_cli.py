@@ -1060,6 +1060,37 @@ class TestLoaderFuzz:
         assert loaded > 0
 
 
+class TestFeatureWriter:
+    def test_rows_stream_without_a_list_per_epoch(self, tmp_path):
+        import tracemalloc
+
+        feats = np.random.default_rng(2).random((2000, 95))
+        ids = [(f"s{e // 4}", f"s{e // 4}_r0", e % 4) for e in range(2000)]
+        names = [f"x{j}" for j in range(95)]
+        tracemalloc.start()
+        try:
+            cli._write_features(tmp_path / "f.csv", ids, names, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of row lists of Python floats reads about 5x the matrix
+        assert peak <= 0.1 * feats.nbytes
+        rows = read_csv(tmp_path / "f.csv")
+        assert rows[0] == cli.ID_COLUMNS + names
+        assert rows[1] == ["s0", "s0_r0", "0", *map(repr, feats[0].tolist())]
+        assert len(rows) == 1 + 2000
+
+    def test_failing_row_source_leaves_no_file(self, tmp_path):
+        def rows():
+            yield ("s0", "s0_r0", 0, 1.0)
+            raise RuntimeError("row source failed")
+
+        path = tmp_path / "f.csv"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            cli._write_csv(path, cli.ID_COLUMNS + ["x"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestImportCost:
     def test_cli_import_loads_no_heavy_scipy(self):
         # every stage is a fresh interpreter, so a top-level import of one of

@@ -181,6 +181,21 @@ class TestStarts:
         assert all(s.converged for s in res.starts)
         assert peak < 4 * 2**20
 
+    def test_gn_working_set_is_a_fixed_set_of_stacks(self):
+        # iterates, gradients and one round's steps and MTTKRP, with no
+        # gathered copies of the full start stacks; gathering them and
+        # stacking a list of steps reads 0.245 of the tensor here
+        t, _ = make_tensor(SynthSpec(dims=(2000, 19, 89), rank=5, snr_db=20.0, seed=1))
+        opts = CpdOptions(rank=5, n_starts=10, max_iters=3, seed=0)
+        tracemalloc.start()
+        try:
+            res = cpd_gn(t, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.iterations for s in res.starts] == [3] * 10
+        assert peak <= 0.18 * t.data.nbytes
+
     def test_gn_reads_the_tensor_once_per_round(self, planted_noisy, monkeypatch):
         # every live start takes one trial per round, and the round's partial
         # product covers all their trials; a stopped start leaves the stack

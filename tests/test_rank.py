@@ -55,6 +55,19 @@ class TestDiffit:
         with pytest.raises(ArgumentError):
             diffit(t, r_max=2, n_runs=1, options=FAST)
 
+    def test_r_max_above_the_cap_refused_before_any_fit(self, monkeypatch):
+        # the cap of a (30, 19, 89) tensor is 30 * 19 = 570; without the
+        # entry check every lower rank of run 0 is fitted first
+        import eegfactor.rank as rank_module
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cpd_als ran before r_max was checked")
+
+        monkeypatch.setattr(rank_module, "cpd_als", no_fit)
+        t = Tensor3(np.random.default_rng(0).random((30, 19, 89)))
+        with pytest.raises(ArgumentError, match="r_max 600 exceeds the identifiable cap 570"):
+            diffit(t, r_max=600, n_runs=1, options=FAST)
+
     def test_zero_runs_rejected(self, planted_noisy):
         t, _ = planted_noisy
         with pytest.raises(ArgumentError):

@@ -190,6 +190,14 @@ class TestTensorOwnership:
         # the data itself; not the raw bytes, nor a finiteness mask, as well
         assert peak < 1.05 * t.data.nbytes
 
+    def test_save_holds_no_copy(self, tmp_path):
+        t = Tensor3(np.random.default_rng(4).standard_normal((2000, 19, 89)))
+        peak = self.traced_peak(lambda: save_tensor(t, tmp_path / "t.bin"))
+        # the file is written from the array's own buffer
+        assert peak <= 0.05 * t.data.nbytes
+        raw = (tmp_path / "t.bin").read_bytes()
+        assert raw[24:] == t.data.astype("<f8").tobytes()
+
     def test_finiteness_checks_make_no_mask(self, tmp_path):
         # the value types' finiteness check and project's spectrum check
         # reduce the loaded tensor without a mask of its size
